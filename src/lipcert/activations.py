@@ -77,16 +77,23 @@ class PwlActivation:
         raise NotImplementedError
 
     def branch_groups(self):
-        """(fixed_neurons, pieces) per independent group, in neuron order."""
-        groups = []
-        seen = set()
-        for n in range(self.out_width):
-            if n in seen:
-                continue
-            pieces = self.neuron_decomposition(n)
-            fixed = pieces[0].fixed_neurons
-            seen.update(fixed)
-            groups.append((fixed, pieces))
+        """(fixed_neurons, pieces) per independent group, in neuron order.
+
+        Built on the first call and kept: the pieces are immutable, and every
+        analysis of the layer asks for them again.
+        """
+        groups = self.__dict__.get("_branch_groups")
+        if groups is None:
+            groups = []
+            seen = set()
+            for n in range(self.out_width):
+                if n in seen:
+                    continue
+                pieces = self.neuron_decomposition(n)
+                fixed = pieces[0].fixed_neurons
+                seen.update(fixed)
+                groups.append((fixed, tuple(pieces)))
+            self._branch_groups = groups = tuple(groups)
         return groups
 
     def _check_neuron(self, n: int):

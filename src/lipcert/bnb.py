@@ -15,7 +15,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,9 +23,9 @@ from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverE
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul
 from .network import LinearPrefix, Network, lin_prop
 from .norms import NormPair, induced_norm
-from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
+from .polyhedra import Polyhedron, affine_preimage, is_feasible, region_lp, stack
 from . import simplex
-from .simplex import solve_lp
+from .simplex import RegionLP, solve_lp
 from .symprop import InitPattern, analyze_activation_layer, symprop
 
 EXACT_REL_TOL = 1e-9
@@ -55,15 +54,12 @@ class SolverConfig:
     sample_count: int = 0
     seed: int = 0
     max_iterations: int | None = None
-    threads: int = 1
 
     def __post_init__(self):
         if self.theta < 1.0:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
         if self.sample_count < 0:
             raise ValueError("sample_count must be non-negative")
-        if self.threads < 1:
-            raise ValueError("threads must be at least 1")
         if self.time_limit is not None and self.time_limit < 0:
             raise ValueError("time_limit must be non-negative")
         if self.max_iterations is not None and self.max_iterations < 0:
@@ -108,13 +104,17 @@ def upper_bound(sub: Subproblem, net: Network, pair: NormPair) -> float:
     return induced_norm(abs_upper_envelope(interval_jacobian(sub, net)), pair)
 
 
-def ffilter(sub: Subproblem, net: Network) -> Subproblem:
+def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subproblem:
     """Re-filter pieces from the first star layer on; fold newly decided layers.
 
-    Layers whose neurons all turn out decided are absorbed into the linear
-    prefix and the first star layer advances past them. The scan stops at the
-    first layer that keeps a star neuron; deeper layers keep their recorded
-    state untouched.
+    Only the neurons recorded as stars are re-analysed (on the generic path,
+    the groups that hold one); every decided row is copied from the record,
+    since a neuron decided over a superset of the region stays decided over
+    the region. Layers whose neurons all turn out decided are absorbed into
+    the linear prefix and the first star layer advances past them. The scan
+    stops at the first layer that keeps a star neuron; deeper layers keep
+    their recorded state untouched. `lp` is `region_lp(sub.region)` when the
+    caller already has it.
     """
     l = sub.first_star_layer
     L = net.depth
@@ -127,7 +127,11 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
     stars = list(sub.stars)
     while l <= L:
         act = net.activations[l - 1]
-        la = analyze_activation_layer(act, sub.region, J, b)
+        if lp is None and stars[l - 1]:
+            lp = region_lp(sub.region)
+        la = analyze_activation_layer(
+            act, sub.region, J, b,
+            record=(stars[l - 1], lam_mats[l - 1], lam_vecs[l - 1]), lp=lp)
         lam_mats[l - 1] = la.lam_mat
         lam_vecs[l - 1] = la.lam_vec
         stars[l - 1] = tuple(la.stars)
@@ -170,7 +174,8 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     new_glb = glb
     for np_piece in act.neuron_decomposition(neuron):
         reg = stack(sub.region, affine_preimage(np_piece.region, sub.prefix.J, sub.prefix.b))
-        if not is_feasible(reg):
+        lp = region_lp(reg)  # its phase 1 is the feasibility test and serves ffilter
+        if not lp.feasible:
             continue
         fixed = np_piece.fixed_neurons
         lam_mat = hull([np_piece.piece.T], rows=fixed, base=sub.lam_mats[lt - 1])
@@ -182,7 +187,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
         stars = sub.stars[: lt - 1] + (layer_stars,) + sub.stars[lt:]
         child = replace(sub, region=reg, lam_mats=lam_mats, lam_vecs=lam_vecs,
                         stars=stars, uid=next(uid_counter))
-        child = ffilter(child, net)
+        child = ffilter(child, net, lp)
         child = replace(child, ub=upper_bound(child, net, pair))
         if child.first_star_layer == L + 1:
             new_glb = max(new_glb, child.ub)
@@ -214,9 +219,7 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
 
     The heap is keyed on the upper bound, ties broken in creation order.
     Popped entries whose bound no longer beats glb are discarded lazily.
-    With threads > 1 a worker pool branches a batch of popped nodes against a
-    common glb snapshot and the results are merged in pop order, so bounds
-    and counters match the single-threaded run.
+    One node is branched per iteration, in the calling thread.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -248,52 +251,37 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
     history = [(glb, gub)]
     uid_counter = itertools.count(1)
     status = None
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    try:
-        while heap:
-            if not gub > cfg.theta * glb:
-                break
-            if cfg.time_limit is not None and time.perf_counter() - t0 >= cfg.time_limit:
-                status = "time_limit"
-                break
-            if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
-                status = "iteration_limit"
-                break
-            batch = []
-            while heap and len(batch) < cfg.threads:
-                _, _, sub = heapq.heappop(heap)
-                if sub.ub <= glb:
+    while heap:
+        if not gub > cfg.theta * glb:
+            break
+        if cfg.time_limit is not None and time.perf_counter() - t0 >= cfg.time_limit:
+            status = "time_limit"
+            break
+        if cfg.max_iterations is not None and iterations >= cfg.max_iterations:
+            status = "iteration_limit"
+            break
+        _, _, sub = heapq.heappop(heap)
+        if sub.ub <= glb:
+            fathomed_bounds += 1
+        else:
+            children, _ = branch(sub, net, glb, pair)
+            iterations += 1
+            for child in children:
+                created += 1
+                child = replace(child, uid=next(uid_counter))
+                if on_subproblem is not None:
+                    on_subproblem(child)
+                if child.first_star_layer == L + 1:
+                    glb = max(glb, min(child.ub, gub))
+                    fathomed_optimality += 1
+                elif child.ub <= glb:
                     fathomed_bounds += 1
-                    continue
-                batch.append(sub)
-            if batch:
-                glb_snapshot = glb
-                if pool is not None and len(batch) > 1:
-                    results = list(pool.map(
-                        lambda s: branch(s, net, glb_snapshot, pair), batch))
                 else:
-                    results = [branch(s, net, glb_snapshot, pair) for s in batch]
-                for children, _ in results:
-                    iterations += 1
-                    for child in children:
-                        created += 1
-                        child = replace(child, uid=next(uid_counter))
-                        if on_subproblem is not None:
-                            on_subproblem(child)
-                        if child.first_star_layer == L + 1:
-                            glb = max(glb, min(child.ub, gub))
-                            fathomed_optimality += 1
-                        elif child.ub <= glb:
-                            fathomed_bounds += 1
-                        else:
-                            heapq.heappush(heap, (-child.ub, child.uid, child))
-            top = -heap[0][0] if heap else glb
-            gub = min(gub, max(glb, top))
-            peak = max(peak, len(heap))
-            history.append((glb, gub))
-    finally:
-        if pool is not None:
-            pool.shutdown()
+                    heapq.heappush(heap, (-child.ub, child.uid, child))
+        top = -heap[0][0] if heap else glb
+        gub = min(gub, max(glb, top))
+        peak = max(peak, len(heap))
+        history.append((glb, gub))
     if status is None:
         if not heap:
             # every subproblem is accounted for in glb

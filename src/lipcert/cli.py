@@ -85,8 +85,6 @@ def _add_common(parser, with_samples=False, with_solver=False):
                             help="wall-clock budget in seconds")
         parser.add_argument("--max-iterations", type=int, default=None,
                             help="branching budget")
-        parser.add_argument("--threads", type=int, default=1,
-                            help="worker threads for branching (default 1)")
 
 
 def _build_region(args, net) -> Polyhedron:
@@ -127,7 +125,6 @@ def _cmd_compute(args) -> int:
         sample_count=args.samples,
         seed=args.seed,
         max_iterations=args.max_iterations,
-        threads=args.threads,
     )
     result = solve(net, region, cfg)
     report = {
@@ -150,7 +147,6 @@ def _cmd_compute(args) -> int:
             "samples": args.samples,
             "seed": args.seed,
             "max_iterations": args.max_iterations,
-            "threads": args.threads,
         },
     }
     _print_report(report)

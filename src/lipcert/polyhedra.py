@@ -129,6 +129,11 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
     return Polyhedron(Q.C @ J, Q.c - Q.C @ b, dim=J.shape[1])
 
 
+def region_lp(P: Polyhedron) -> simplex.RegionLP:
+    """The LPs of P: phase 1 now, then one phase 2 per objective asked of it."""
+    return simplex.RegionLP(P.C, P.c)
+
+
 def feasible_point(P: Polyhedron) -> np.ndarray | None:
     """A point of P (within the LP feasibility slack), or None if P is empty."""
     return simplex.feasible_point(P.C, P.c)
@@ -140,50 +145,29 @@ def is_feasible(P: Polyhedron) -> bool:
     return feasible_point(P) is not None
 
 
+def _objective(P: Polyhedron, objective) -> np.ndarray:
+    obj = np.asarray(objective, dtype=float).reshape(-1)
+    if obj.shape[0] != P.dim:
+        raise ValueError("objective dimension mismatch")
+    return obj
+
+
 def linear_bounds(P: Polyhedron, objective) -> tuple[float, float]:
     """(inf, sup) of objective.x over P; +-inf when unbounded.
 
     Raises InfeasibleRegionError when P is empty.
     """
-    obj = np.asarray(objective, dtype=float).reshape(-1)
-    if obj.shape[0] != P.dim:
-        raise ValueError("objective dimension mismatch")
-    if P.m == 0:
-        if np.all(obj == 0.0):
-            return (0.0, 0.0)
-        return (float("-inf"), float("inf"))
-    lo_res = simplex.solve_lp(P.C, P.c, obj)
-    if lo_res.status == "infeasible":
-        raise InfeasibleRegionError("bounds queried on an empty region")
-    lo = float("-inf") if lo_res.status == "unbounded" else lo_res.value
-    hi_res = simplex.solve_lp(P.C, P.c, -obj)
-    hi = float("inf") if hi_res.status == "unbounded" else -hi_res.value
-    return (lo, hi)
+    return region_lp(P).bounds(_objective(P, objective))
 
 
 def support_value(P: Polyhedron, objective) -> float:
     """sup of objective.x over P (+inf if unbounded); P must be non-empty."""
-    obj = np.asarray(objective, dtype=float).reshape(-1)
-    if obj.shape[0] != P.dim:
-        raise ValueError("objective dimension mismatch")
-    if P.m == 0:
-        return 0.0 if np.all(obj == 0.0) else float("inf")
-    res = simplex.solve_lp(P.C, P.c, -obj)
-    if res.status == "infeasible":
-        raise InfeasibleRegionError("support value queried on an empty region")
-    if res.status == "unbounded":
-        return float("inf")
-    return -res.value
+    return region_lp(P).support(_objective(P, objective))
 
 
 def minimize_point(P: Polyhedron, objective) -> np.ndarray | None:
     """A minimizer of objective.x over P, or None when the LP is unbounded."""
-    obj = np.asarray(objective, dtype=float).reshape(-1)
-    if obj.shape[0] != P.dim:
-        raise ValueError("objective dimension mismatch")
-    if P.m == 0:
-        return np.zeros(P.dim) if np.all(obj == 0.0) else None
-    res = simplex.solve_lp(P.C, P.c, obj)
+    res = region_lp(P).minimize(_objective(P, objective))
     if res.status == "infeasible":
         raise InfeasibleRegionError("minimization over an empty region")
     if res.status == "unbounded":
@@ -197,10 +181,9 @@ def coordinate_bounds(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     hi = np.full(P.dim, float("inf"))
     if P.m == 0:
         return lo, hi
-    for i in range(P.dim):
-        e = np.zeros(P.dim)
-        e[i] = 1.0
-        lo[i], hi[i] = linear_bounds(P, e)
+    lp = region_lp(P)
+    for i, e in enumerate(np.eye(P.dim)):
+        lo[i], hi[i] = lp.bounds(e)
     return lo, hi
 
 

@@ -255,18 +255,6 @@ def test_solve_matches_oracle_all_norms():
             assert res.glb == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
-def test_solve_threads_reproduce_bounds():
-    rng = np.random.default_rng(29)
-    net = random_net(rng, max_hidden=2, max_width=4)
-    omega = unit_box(net.input_dim)
-    base = solve(net, omega, SolverConfig(threads=1))
-    for threads in (2, 4):
-        res = solve(net, omega, SolverConfig(threads=threads))
-        assert res.status == base.status
-        assert res.glb == pytest.approx(base.glb, abs=1e-12)
-        assert res.gub == pytest.approx(base.gub, abs=1e-12)
-
-
 def test_solve_on_subproblem_callback():
     net = make_cancel_net()
     seen = []
@@ -295,8 +283,6 @@ def test_solver_config_validation():
         SolverConfig(theta=0.5)
     with pytest.raises(ValueError):
         SolverConfig(sample_count=-1)
-    with pytest.raises(ValueError):
-        SolverConfig(threads=0)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=-1.0)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import lipcert as lc
 from lipcert import NormPair, UnsupportedNormError, induced_norm
 
 PAIRS = [
@@ -135,3 +136,20 @@ def test_submultiplicative_when_chained():
         B = rng.normal(size=(2, 4))
         assert induced_norm(A @ B, pair) <= (
             induced_norm(A, pair) * induced_norm(B, pair) + 1e-9)
+
+
+def test_spectral_never_below_lapack_on_close_top_singular_values():
+    # a linear 6x6 network whose top two singular values differ by 1e-4: an
+    # iterative estimate falls short of the norm here, and the solver must
+    # still report a gub at or above it
+    rng = np.random.default_rng(20260401)
+    U, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    V, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+    s = np.concatenate([[1.0 + 1e-4, 1.0], np.sort(rng.uniform(0.1, 0.9, 4))[::-1]])
+    W = (U * s) @ V.T
+    net = lc.Network([lc.AffineLayer(W, 0.1 * rng.normal(size=6))])
+    res = lc.solve(net, lc.Polyhedron.from_box([-1.0] * 6, [1.0] * 6))
+    sigma = np.linalg.norm(W, 2)
+    assert res.status == "exact"
+    assert res.gub >= sigma
+    assert res.gub == pytest.approx(sigma, rel=1e-13)

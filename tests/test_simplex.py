@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lipcert.simplex import FEAS_TOL, LpResult, feasible_point, solve_lp
+from lipcert import InfeasibleRegionError
+from lipcert.simplex import FEAS_TOL, LpResult, RegionLP, feasible_point, solve_lp
 
 
 def test_simple_bounded_lp():
@@ -133,3 +134,125 @@ def test_result_type():
     res = solve_lp(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
     assert isinstance(res, LpResult)
     assert res.status == "unbounded"
+
+
+# RegionLP: phase 1 once per region, phase 2 per objective
+
+def _linprog(A, b, cost):
+    d = A.shape[1]
+    return linprog(cost, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
+
+
+def _same(r1, r2):
+    return (r1.status == r2.status and r1.value == r2.value
+            and (r1.x is None) == (r2.x is None)
+            and (r1.x is None or np.array_equal(r1.x, r2.x)))
+
+
+def _random_system(rng):
+    """Systems of every kind: bounded, unbounded, infeasible, with negative
+    right-hand sides (artificials), redundant copies and zero rows."""
+    d = int(rng.integers(1, 5))
+    m = int(rng.integers(0, 8))
+    A = rng.normal(size=(m, d))
+    b = rng.normal(size=m) + rng.uniform(-1.0, 2.0)
+    if m and rng.random() < 0.3:
+        A[rng.integers(m)] = 0.0
+    if m > 1 and rng.random() < 0.3:
+        A[-1], b[-1] = 2.0 * A[0], 2.0 * b[0]
+    return A, b
+
+
+def test_region_lp_matches_solve_lp_and_scipy():
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(200):
+        A, b = _random_system(rng)
+        lp = RegionLP(A, b)
+        for _ in range(3):
+            cost = rng.normal(size=A.shape[1])
+            res = lp.minimize(cost)
+            assert _same(res, solve_lp(A, b, cost))
+            ref = _linprog(A, b, cost)
+            kinds.add(res.status)
+            if ref.status == 0:
+                assert res.status == "optimal"
+                assert res.value == pytest.approx(ref.fun, rel=1e-7, abs=1e-7)
+                assert np.all(A @ res.x <= b + 1e-7)
+            elif ref.status == 2:
+                assert res.status == "infeasible"
+                assert not lp.feasible
+            else:
+                assert ref.status == 3
+                assert res.status == "unbounded"
+        assert lp.feasible == (feasible_point(A, b) is not None)
+    assert kinds == {"optimal", "infeasible", "unbounded"}
+
+
+def test_region_lp_negative_rhs_needs_artificials():
+    # x0 >= 1, x1 >= 2, x0 + x1 <= 5: both lower bounds start infeasible
+    A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    b = np.array([-1.0, -2.0, 5.0])
+    lp = RegionLP(A, b)
+    assert lp.feasible
+    assert np.all(A @ lp.point() <= b + FEAS_TOL)
+    assert lp.bounds([1.0, 0.0]) == pytest.approx((1.0, 3.0), abs=1e-9)
+    assert lp.bounds([0.0, 1.0]) == pytest.approx((2.0, 4.0), abs=1e-9)
+    assert lp.support([1.0, 1.0]) == pytest.approx(5.0, abs=1e-9)
+
+
+def test_region_lp_redundant_rows_drive_out():
+    # x = 1 written four times: three artificials end phase 1 basic at zero
+    # in redundant rows and must be driven out without changing any answer
+    A = np.array([[1.0], [-1.0], [-1.0], [-2.0]])
+    b = np.array([1.0, -1.0, -1.0, -2.0])
+    lp = RegionLP(A, b)
+    assert lp.feasible
+    for cost in ([1.0], [-1.0], [0.0]):
+        res = lp.minimize(cost)
+        assert _same(res, solve_lp(A, b, cost))
+        assert res.status == "optimal"
+        assert res.x == pytest.approx([1.0], abs=1e-9)
+
+
+def test_region_lp_zero_rows():
+    A = np.zeros((3, 2))
+    lp = RegionLP(A, np.array([0.0, 1.0, 2.0]))
+    assert lp.feasible
+    assert lp.bounds([1.0, 0.0]) == (-np.inf, np.inf)
+    assert lp.bounds([0.0, 0.0]) == (0.0, 0.0)
+    empty = RegionLP(A, np.array([0.0, -1.0, 2.0]))  # 0 <= -1
+    assert not empty.feasible
+    assert empty.point() is None
+    assert empty.minimize([1.0, 0.0]).status == "infeasible"
+    with pytest.raises(InfeasibleRegionError):
+        empty.bounds([1.0, 0.0])
+    with pytest.raises(InfeasibleRegionError):
+        empty.support([1.0, 0.0])
+    none = RegionLP(np.zeros((0, 2)), np.zeros(0))
+    assert none.feasible
+    np.testing.assert_array_equal(none.point(), np.zeros(2))
+    assert none.support([0.0, 1.0]) == np.inf
+
+
+def test_region_lp_answers_do_not_depend_on_query_order():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        A, b = random_bounded_lp(rng, int(rng.integers(1, 5)), int(rng.integers(1, 7)))
+        A = np.vstack([A, -A[:2]])
+        b = np.concatenate([b, -b[:2] + 0.5])  # rows with negative offsets
+        costs = rng.normal(size=(8, A.shape[1]))
+        forward = RegionLP(A, b)
+        backward = RegionLP(A, b)
+        first = [forward.minimize(c) for c in costs]
+        second = [backward.minimize(c) for c in costs[::-1]][::-1]
+        again = [forward.minimize(c) for c in costs]
+        for r1, r2, r3 in zip(first, second, again):
+            assert _same(r1, r2) and _same(r1, r3)
+
+
+def test_region_lp_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        RegionLP(np.zeros((2, 2)), np.zeros(3))
+    with pytest.raises(ValueError):
+        RegionLP(np.zeros((2, 2)), np.zeros(2)).minimize(np.zeros(3))
