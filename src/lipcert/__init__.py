@@ -42,12 +42,11 @@ from .exceptions import (
     LipcertError,
     LpSolverError,
     ModelFormatError,
-    NotFixedLinearError,
     SamplingError,
     UnsupportedNormError,
 )
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul
-from .network import AffineLayer, LinearPrefix, Network, lin_prop, load_model, network_from_json
+from .network import AffineLayer, LinearPrefix, Network, load_model, network_from_json
 from .norms import NormPair, induced_norm
 from .polyhedra import (
     Polyhedron,
@@ -59,7 +58,14 @@ from .polyhedra import (
     region_from_json,
     stack,
 )
-from .symprop import InitPattern, analyze_activation_layer, symprop, symprop_trace
+from .symprop import (
+    InitPattern,
+    LayerState,
+    analyze_activation_layer,
+    layer_state,
+    symprop,
+    symprop_trace,
+)
 
 __version__ = "0.1.0"
 
@@ -73,6 +79,7 @@ __all__ = [
     "InfeasibleRegionError",
     "InitPattern",
     "IntervalMatrix",
+    "LayerState",
     "LinearPrefix",
     "LipcertError",
     "LpSolverError",
@@ -81,7 +88,6 @@ __all__ = [
     "Network",
     "NeuronPiece",
     "NormPair",
-    "NotFixedLinearError",
     "Polyhedron",
     "PwlActivation",
     "SamplingError",
@@ -105,9 +111,9 @@ __all__ = [
     "interval_jacobian",
     "interval_matmul",
     "is_feasible",
+    "layer_state",
     "layerwise_bound",
     "leaky_relu",
-    "lin_prop",
     "linear_bounds",
     "load_model",
     "load_region",

@@ -96,6 +96,35 @@ class PwlActivation:
             self._branch_groups = groups = tuple(groups)
         return groups
 
+    def piece_table(self):
+        """(T, t, valid, order): `branch_groups()` as padded arrays, built once.
+
+        For group g and piece p, `T[g, p]` and `t[g, p]` hold the piece's
+        rows and offsets, zero-padded to the largest group, and `valid[g, p]`
+        marks the pieces that exist. Neuron n's row is at flat position
+        `order[n]` of a (groups, rows) array.
+        """
+        table = self.__dict__.get("_piece_table")
+        if table is None:
+            groups = self.branch_groups()
+            shape = (len(groups), max(len(p) for _, p in groups),
+                     max(len(f) for f, _ in groups))
+            T = np.zeros(shape + (self.in_width,))
+            t = np.zeros(shape)
+            valid = np.zeros(shape[:2], dtype=bool)
+            order = np.zeros(self.out_width, dtype=int)
+            for g, (fixed, pieces) in enumerate(groups):
+                r = len(fixed)
+                order[list(fixed)] = g * shape[2] + np.arange(r)
+                valid[g, :len(pieces)] = True
+                for p, np_piece in enumerate(pieces):
+                    T[g, p, :r] = np_piece.piece.T
+                    t[g, p, :r] = np_piece.piece.t
+            for arr in (T, t, valid, order):
+                arr.setflags(write=False)
+            self._piece_table = table = (T, t, valid, order)
+        return table
+
     def _check_neuron(self, n: int):
         if not (0 <= n < self.out_width):
             raise ValueError(f"neuron index {n} out of range for width {self.out_width}")
@@ -161,6 +190,21 @@ class ComponentwiseActivation(PwlActivation):
         left = self.breakpoints[j - 1] if j > 0 else float("-inf")
         right = self.breakpoints[j] if j < self.piece_count - 1 else float("inf")
         return left, right
+
+    def piece_table(self):
+        # one group per neuron, built from the spline table without the
+        # pieces' polyhedra, which the analysis of this layer never needs
+        table = self.__dict__.get("_piece_table")
+        if table is None:
+            w, k = self.in_width, self.piece_count
+            n = np.arange(w)
+            T = np.zeros((w, k, 1, w))
+            T[n, :, 0, n] = self.slopes
+            table = (T, self.intercepts[:, :, None], np.ones((w, k), dtype=bool), n)
+            for arr in table:
+                arr.setflags(write=False)
+            self._piece_table = table
+        return table
 
     def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
         self._check_neuron(n)

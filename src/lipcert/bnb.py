@@ -1,14 +1,15 @@
 """Best-first branch-and-bound for exact Lipschitz constants.
 
-Each subproblem is a polyhedral subset of the input region plus the recorded
-activation state of every layer: decided neurons carry a degenerate interval
-(their unique affine row), undecided star neurons carry the interval hull of
-their feasible pieces. The first undecided layer splits the network into an
-exactly folded linear prefix and an interval tail; the tail's interval
-Jacobian gives the subproblem's upper bound. Branching fixes the first star
-neuron's piece, pulls the piece constraints back to input space, and
-re-filters deeper layers. Subproblems whose pieces are all decided are linear
-on their region, so their bound is exact and feeds the global lower bound.
+Each subproblem is a polyhedral subset of the input region plus one
+`LayerState` per activation layer: the pieces each branch group keeps over
+the region, from which the star (undecided) neurons, the interval hull of
+the kept rows and the decided affine map are derived. The first layer with a
+star splits the network into an exactly folded linear prefix and an interval
+tail; the tail's interval Jacobian gives the subproblem's upper bound.
+Branching keeps one piece of the first star neuron's group, pulls the
+piece's constraints back to input space, and re-filters deeper layers.
+Subproblems without stars are linear on their region, so their bound is
+exact and feeds the global lower bound.
 """
 from __future__ import annotations
 
@@ -20,13 +21,15 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverError
-from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul
-from .network import LinearPrefix, Network, lin_prop
+# hull is not called here; it stays importable from this module because
+# perfbench/layertrace.py rebinds it here by name.
+from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul  # noqa: F401
+from .network import LinearPrefix, Network
 from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, affine_preimage, is_feasible, region_lp, stack
 from . import simplex
 from .simplex import RegionLP, solve_lp
-from .symprop import InitPattern, analyze_activation_layer, symprop
+from .symprop import InitPattern, LayerState, analyze_activation_layer, layer_state, symprop
 
 EXACT_REL_TOL = 1e-9
 ORACLE_COMBINATION_CAP = 1_000_000
@@ -37,13 +40,16 @@ class Subproblem:
     """Immutable branch-and-bound node."""
 
     region: Polyhedron
-    lam_mats: tuple[IntervalMatrix, ...]
-    lam_vecs: tuple[IntervalMatrix, ...]
+    layers: tuple[LayerState, ...]
     first_star_layer: int
-    stars: tuple[tuple[int, ...], ...]
     prefix: LinearPrefix
     ub: float = float("nan")
     uid: int = 0
+
+    @property
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """Star neurons per layer: `stars[l - 1]` for layer l."""
+        return tuple(state.stars for state in self.layers)
 
 
 @dataclass(frozen=True)
@@ -90,10 +96,10 @@ def interval_jacobian(sub: Subproblem, net: Network) -> IntervalMatrix:
     if sub.first_star_layer == L + 1:
         return exact(sub.prefix.J)
     lt = sub.first_star_layer
-    M = interval_matmul(sub.lam_mats[lt - 1], exact(sub.prefix.J))
+    M = interval_matmul(sub.layers[lt - 1].lam_mat, exact(sub.prefix.J))
     for l in range(lt + 1, L + 1):
         M = interval_matmul(exact(net.affine[l - 1].W), M)
-        M = interval_matmul(sub.lam_mats[l - 1], M)
+        M = interval_matmul(sub.layers[l - 1].lam_mat, M)
     return M
 
 
@@ -107,14 +113,12 @@ def upper_bound(sub: Subproblem, net: Network, pair: NormPair) -> float:
 def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subproblem:
     """Re-filter pieces from the first star layer on; fold newly decided layers.
 
-    Only the neurons recorded as stars are re-analysed (on the generic path,
-    the groups that hold one); every decided row is copied from the record,
-    since a neuron decided over a superset of the region stays decided over
-    the region. Layers whose neurons all turn out decided are absorbed into
-    the linear prefix and the first star layer advances past them. The scan
-    stops at the first layer that keeps a star neuron; deeper layers keep
-    their recorded state untouched. `lp` is `region_lp(sub.region)` when the
-    caller already has it.
+    Each layer is re-analysed with its state as the record, so only the
+    groups holding a star are examined, on the pieces they kept. Layers
+    whose neurons all turn out decided are absorbed into the linear prefix
+    and the first star layer advances past them. The scan stops at the
+    first layer that keeps a star neuron; deeper layers keep their recorded
+    state. `lp` is `region_lp(sub.region)` when the caller already has it.
     """
     l = sub.first_star_layer
     L = net.depth
@@ -122,45 +126,33 @@ def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subpro
         return sub
     J = sub.prefix.J
     b = sub.prefix.b
-    lam_mats = list(sub.lam_mats)
-    lam_vecs = list(sub.lam_vecs)
-    stars = list(sub.stars)
+    layers = list(sub.layers)
     while l <= L:
-        act = net.activations[l - 1]
-        if lp is None and stars[l - 1]:
+        if lp is None and layers[l - 1].stars:
             lp = region_lp(sub.region)
-        la = analyze_activation_layer(
-            act, sub.region, J, b,
-            record=(stars[l - 1], lam_mats[l - 1], lam_vecs[l - 1]), lp=lp)
-        lam_mats[l - 1] = la.lam_mat
-        lam_vecs[l - 1] = la.lam_vec
-        stars[l - 1] = tuple(la.stars)
-        if la.stars:
+        state = analyze_activation_layer(net.activations[l - 1], sub.region, J, b,
+                                         record=layers[l - 1], lp=lp)
+        layers[l - 1] = state
+        if state.stars:
             break
-        J = la.fixed_T @ J
-        b = la.fixed_T @ b + la.fixed_t
+        J = state.fixed_T @ J
+        b = state.fixed_T @ b + state.fixed_t
         if l < L:
             aff = net.affine[l]
             J = aff.W @ J
             b = aff.W @ b + aff.b
         l += 1
-    return replace(
-        sub,
-        lam_mats=tuple(lam_mats),
-        lam_vecs=tuple(lam_vecs),
-        stars=tuple(stars),
-        first_star_layer=l,
-        prefix=LinearPrefix(J, b),
-    )
+    return replace(sub, layers=tuple(layers), first_star_layer=l, prefix=LinearPrefix(J, b))
 
 
 def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
            uid_counter=None):
-    """Split on the first star neuron of the first star layer.
+    """Split on the group of the first star neuron of the first star layer.
 
-    Returns (children, glb'): one child per feasible piece of the neuron's
-    group, each re-filtered and bounded; glb' lifts glb over children that
-    came out fixed linear (their bound is an exact Lipschitz value).
+    Returns (children, glb'): one child per piece the group keeps that is
+    feasible on the region, each re-filtered, bounded and numbered from
+    `uid_counter`; glb' lifts glb over children that came out fixed linear
+    (their bound is an exact Lipschitz value).
     """
     L = net.depth
     if sub.first_star_layer > L:
@@ -169,24 +161,23 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
         uid_counter = itertools.count(1)
     lt = sub.first_star_layer
     act = net.activations[lt - 1]
-    neuron = sub.stars[lt - 1][0]
+    state = sub.layers[lt - 1]
+    neuron = state.stars[0]
+    T, _, _, order = act.piece_table()
+    g = order[neuron] // T.shape[2]  # the neuron's group
+    # the group's pieces, in the order of `act.branch_groups()[g]`
+    group_pieces = act.neuron_decomposition(neuron)
     children = []
     new_glb = glb
-    for np_piece in act.neuron_decomposition(neuron):
-        reg = stack(sub.region, affine_preimage(np_piece.region, sub.prefix.J, sub.prefix.b))
+    for p in np.flatnonzero(state.pieces[g]):
+        reg = stack(sub.region, affine_preimage(group_pieces[p].region, sub.prefix.J, sub.prefix.b))
         lp = region_lp(reg)  # its phase 1 is the feasibility test and serves ffilter
         if not lp.feasible:
             continue
-        fixed = np_piece.fixed_neurons
-        lam_mat = hull([np_piece.piece.T], rows=fixed, base=sub.lam_mats[lt - 1])
-        lam_vec = hull([np_piece.piece.t.reshape(-1, 1)], rows=fixed,
-                       base=sub.lam_vecs[lt - 1])
-        lam_mats = sub.lam_mats[: lt - 1] + (lam_mat,) + sub.lam_mats[lt:]
-        lam_vecs = sub.lam_vecs[: lt - 1] + (lam_vec,) + sub.lam_vecs[lt:]
-        layer_stars = tuple(n for n in sub.stars[lt - 1] if n not in fixed)
-        stars = sub.stars[: lt - 1] + (layer_stars,) + sub.stars[lt:]
-        child = replace(sub, region=reg, lam_mats=lam_mats, lam_vecs=lam_vecs,
-                        stars=stars, uid=next(uid_counter))
+        pieces = state.pieces.copy()
+        pieces[g] = np.arange(pieces.shape[1]) == p
+        layers = sub.layers[: lt - 1] + (layer_state(act, pieces),) + sub.layers[lt:]
+        child = Subproblem(reg, layers, lt, sub.prefix, uid=next(uid_counter))
         child = ffilter(child, net, lp)
         child = replace(child, ub=upper_bound(child, net, pair))
         if child.first_star_layer == L + 1:
@@ -197,20 +188,10 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
 
 def initial_subproblem(net: Network, omega: Polyhedron,
                        pattern: InitPattern | None = None) -> Subproblem:
-    """Root node: symbolic-pass state plus the folded decided prefix."""
+    """Root node: the symbolic pass's layer states and folded prefix."""
     if pattern is None:
         pattern = symprop(net, omega)
-    prefix = lin_prop(net, pattern.lam_mats, pattern.lam_vecs, 0,
-                      pattern.first_star_layer)
-    return Subproblem(
-        region=omega,
-        lam_mats=pattern.lam_mats,
-        lam_vecs=pattern.lam_vecs,
-        first_star_layer=pattern.first_star_layer,
-        stars=pattern.stars,
-        prefix=prefix,
-        uid=0,
-    )
+    return Subproblem(omega, pattern.layers, pattern.first_star_layer, pattern.prefix)
 
 
 def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
@@ -264,11 +245,10 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
         if sub.ub <= glb:
             fathomed_bounds += 1
         else:
-            children, _ = branch(sub, net, glb, pair)
+            children, _ = branch(sub, net, glb, pair, uid_counter)
             iterations += 1
             for child in children:
                 created += 1
-                child = replace(child, uid=next(uid_counter))
                 if on_subproblem is not None:
                     on_subproblem(child)
                 if child.first_star_layer == L + 1:

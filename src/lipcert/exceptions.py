@@ -17,10 +17,6 @@ class InfeasibleRegionError(LipcertError, ValueError):
     """Raised when an operation requires a non-empty region."""
 
 
-class NotFixedLinearError(LipcertError, ValueError):
-    """Raised when folding an activation layer that has no unique affine state."""
-
-
 class LpSolverError(LipcertError, RuntimeError):
     """Numerical failure inside the LP engine."""
 

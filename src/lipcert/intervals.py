@@ -98,13 +98,8 @@ def abs_upper_envelope(J: IntervalMatrix) -> np.ndarray:
     return np.maximum(np.abs(J.lower), np.abs(J.upper))
 
 
-def hull(pieces, rows=None, base: IntervalMatrix | None = None) -> IntervalMatrix:
-    """Entrywise interval hull of a set of real matrices.
-
-    With `rows` given, the pieces are row blocks aligned with those row
-    indices and only those rows of `base` are rewritten; remaining rows are
-    taken from `base` unchanged.
-    """
+def hull(pieces) -> IntervalMatrix:
+    """Entrywise interval hull of a set of real matrices."""
     mats = [_as_matrix(P) for P in pieces]
     if not mats:
         raise ValueError("hull of an empty piece set")
@@ -113,17 +108,4 @@ def hull(pieces, rows=None, base: IntervalMatrix | None = None) -> IntervalMatri
         if M.shape != shape:
             raise ValueError(f"piece shapes differ: {M.shape} vs {shape}")
     stacked = np.stack(mats)
-    lo = stacked.min(axis=0)
-    hi = stacked.max(axis=0)
-    if rows is None:
-        return IntervalMatrix(lo, hi)
-    if base is None:
-        raise ValueError("row-masked hull needs a base interval matrix")
-    idx = list(rows)
-    if len(idx) != shape[0]:
-        raise ValueError(f"{shape[0]} piece rows for {len(idx)} masked rows")
-    new_lo = base.lower.copy()
-    new_hi = base.upper.copy()
-    new_lo[idx] = lo
-    new_hi[idx] = hi
-    return IntervalMatrix(new_lo, new_hi)
+    return IntervalMatrix(stacked.min(axis=0), stacked.max(axis=0))

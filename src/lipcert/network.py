@@ -1,4 +1,4 @@
-"""Network container, model JSON I/O, evaluation, and linear-prefix folding.
+"""Network container, model JSON I/O, evaluation, and the folded linear prefix.
 
 A network is a strict alternation of affine and piecewise-linear activation
 layers. Constructors accept any interleaving and pad with identity layers so
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import activations as act_mod
 from .activations import IdentityActivation, PwlActivation
-from .exceptions import ModelFormatError, NotFixedLinearError
+from .exceptions import ModelFormatError
 
 
 @dataclass(frozen=True)
@@ -151,38 +151,6 @@ class Network:
             J = T @ J
             v = act.evaluate(z)
         return J, flagged
-
-
-def lin_prop(net: Network, lam_mats, lam_vecs, start: int = 0, end: int | None = None) -> LinearPrefix:
-    """Fold layers start+1 .. end into one affine map, activations taken from
-    their recorded degenerate states.
-
-    `end` counts affine layers; end = L+1 appends the implicit identity tail,
-    folding the whole remaining network. Activation layers strictly inside the
-    range must be degenerate (a unique affine state), otherwise
-    NotFixedLinearError names the offending layer.
-    """
-    L = net.depth
-    if end is None:
-        end = L + 1
-    if not (0 <= start < end <= L + 1):
-        raise ValueError(f"bad fold range [{start + 1}, {end}] for depth {L}")
-    d_in = net.affine[start].in_dim if start < L else net.activations[-1].out_width
-    J = np.eye(d_in)
-    b = np.zeros(d_in)
-    for l in range(start + 1, min(end, L) + 1):
-        aff = net.affine[l - 1]
-        J = aff.W @ J
-        b = aff.W @ b + aff.b
-        if l < end:
-            M = lam_mats[l - 1]
-            v = lam_vecs[l - 1]
-            if not (M.is_degenerate() and v.is_degenerate()):
-                raise NotFixedLinearError(f"activation layer {l} has no unique affine state")
-            T = M.lower
-            J = T @ J
-            b = T @ b + v.lower.reshape(-1)
-    return LinearPrefix(J, b)
 
 
 _ACTIVATION_FIELDS = {

@@ -57,9 +57,12 @@ class Polyhedron:
         C = C[keep]
         c = c[keep]
         if C.shape[0] > 1:
-            rows = np.hstack([C, c[:, None]])
-            _, first = np.unique(rows, axis=0, return_index=True)
-            order = np.sort(first)
+            # first occurrence of each row, in order; + 0.0 turns -0.0 into
+            # 0.0 so that rows equal in value have equal bytes
+            first = {}
+            for i, row in enumerate(np.hstack([C, c[:, None]]) + 0.0):
+                first.setdefault(row.tobytes(), i)
+            order = list(first.values())
             C = C[order]
             c = c[order]
         C.setflags(write=False)

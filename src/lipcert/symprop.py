@@ -2,32 +2,36 @@
 
 The analysis walks the network once, carrying every post-activation value as
 an affine expression B x_sym + b over the original inputs plus one auxiliary
-symbol per undecided neuron met so far. Per activation layer it records which
-pieces stay feasible over the reachable set, the interval hull of their
-affine parameters, and the set of undecided (star) neurons.
+symbol per undecided neuron met so far.
 
-A neuron counts as decided when some feasible piece's preimage contains the
-whole reachable set, i.e. the activation is affine on the entire region (ties
-resolved toward the lowest piece index), or when every feasible piece agrees
-on the neuron's affine parameters. Otherwise it is a star neuron; its exact
-value is replaced by a fresh auxiliary variable constrained only by the box
-hull of the per-piece output ranges, which keeps the reachable-set
-overapproximation sound for all later layers.
+A layer's activation state is a `LayerState`: for each branch group of the
+activation (a ReLU neuron, a GroupSort/MaxMin group, a MaxPool window) the
+pieces it keeps over the reachable set. A piece whose preimage contains the
+whole reachable set is kept alone (ties resolved toward the lowest piece
+index); otherwise every feasible piece is kept. `layer_state` derives the
+rest from the kept pieces: a neuron is decided when they all agree on its
+affine parameters and is a star (undecided) neuron otherwise; `lam_mat` is
+the interval hull of the kept rows, and `fixed_T`, `fixed_t` are the affine
+map of the decided neurons. A star's exact value is replaced by a fresh
+auxiliary variable constrained only by the box hull of the per-piece output
+ranges, which keeps the reachable-set overapproximation sound for all later
+layers.
 
 Each layer's LPs run on one `RegionLP` per region, so phase 1 runs once for
 all of its neurons. Re-analysis over a sub-region (branch-and-bound's
-re-filtering) passes the layer's record and re-examines its stars only.
+re-filtering) passes the layer's state over a superset as the record, and
+re-examines only the groups holding a star, on the pieces they kept there.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import ComponentwiseActivation, IdentityActivation, PwlActivation
 from .exceptions import InfeasibleRegionError, LpSolverError
-from .intervals import IntervalMatrix, exact
-from .network import Network
+from .intervals import IntervalMatrix
+from .network import LinearPrefix, Network
 # is_feasible, linear_bounds and support_value are not called here; they stay
 # importable from this module because perfbench/layertrace.py rebinds them
 # here by name.
@@ -44,26 +48,58 @@ from .polyhedra import (  # noqa: F401
 from .simplex import RegionLP
 
 
-@dataclass
-class LayerAnalysis:
-    """Outcome of classifying one activation layer over a reachable set."""
+@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
+class LayerState:
+    """Activation state of one layer over a region: the pieces each branch
+    group keeps, and what `layer_state` derives from them."""
 
-    stars: list[int]
+    pieces: np.ndarray  # bool, (groups, pieces of the largest group)
+    stars: tuple[int, ...]
+    star_groups: tuple[int, ...]  # groups holding a star neuron
     lam_mat: IntervalMatrix
-    lam_vec: IntervalMatrix
     fixed_T: np.ndarray  # rows of star neurons are zero
     fixed_t: np.ndarray
-    aux_bounds: dict = field(default_factory=dict)  # star neuron -> (lo, hi)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitPattern:
     """Per-layer activation state produced by the symbolic pass."""
 
-    lam_mats: tuple[IntervalMatrix, ...]
-    lam_vecs: tuple[IntervalMatrix, ...]
+    layers: tuple[LayerState, ...]
     first_star_layer: int  # 1-based; depth + 1 when the whole net is decided
-    stars: tuple[tuple[int, ...], ...]
+    prefix: LinearPrefix  # the exact map up to the first star layer's input
+
+
+def _kept_hull(T, t, kept):
+    """Per group, over its kept pieces: the entrywise bounds (lo, hi) of the
+    rows, the least offsets, and the rows on which the pieces disagree (the
+    stars). T is (G, P, r, k), t (G, P, r) and kept (G, P)."""
+    m = kept[:, :, None]
+    lo = T.min(axis=1, where=m[..., None], initial=np.inf)
+    hi = T.max(axis=1, where=m[..., None], initial=-np.inf)
+    off = t.min(axis=1, where=m, initial=np.inf)
+    star = (lo != hi).any(axis=2) | (off != t.max(axis=1, where=m, initial=-np.inf))
+    return lo, hi, off, star
+
+
+def layer_state(act: PwlActivation, pieces) -> LayerState:
+    """The state of `act` that keeps `pieces`, a boolean mask shaped like
+    `act.piece_table()[2]`; every group must keep at least one piece."""
+    T, t, _, order = act.piece_table()
+    pieces = np.array(pieces, dtype=bool)
+    pieces.setflags(write=False)
+    lo, hi, off, star = _kept_hull(T, t, pieces)
+    k = act.in_width
+    lo, hi = lo.reshape(-1, k)[order], hi.reshape(-1, k)[order]
+    off, star_n = off.reshape(-1)[order], star.reshape(-1)[order]
+    return LayerState(
+        pieces,
+        tuple(np.flatnonzero(star_n).tolist()),
+        tuple(np.flatnonzero(star.any(axis=1)).tolist()),
+        IntervalMatrix(lo, hi),
+        np.where(star_n[:, None], 0.0, lo),
+        np.where(star_n, 0.0, off),
+    )
 
 
 def _spline_image(slope: float, intercept: float, lo: float, hi: float):
@@ -75,94 +111,40 @@ def _spline_image(slope: float, intercept: float, lo: float, hi: float):
     return (a, b) if slope > 0.0 else (b, a)
 
 
-class _LayerRows:
-    """The arrays of one layer analysis, filled in neuron by neuron.
-
-    They start at zero, or, given a record of the layer over a superset of
-    the reachable set, as a copy of the recorded rows with the recorded star
-    rows cleared from the fixed map.
-    """
-
-    def __init__(self, act: PwlActivation, record):
-        if record is None:
-            w, k = act.out_width, act.in_width
-            self.lam_lo, self.lam_hi = np.zeros((w, k)), np.zeros((w, k))
-            self.vec_lo, self.vec_hi = np.zeros(w), np.zeros(w)
-            self.fixed_T, self.fixed_t = np.zeros((w, k)), np.zeros(w)
-            return
-        stars, lam_mat, lam_vec = record
-        self.lam_lo, self.lam_hi = lam_mat.lower.copy(), lam_mat.upper.copy()
-        self.vec_lo, self.vec_hi = lam_vec.lower[:, 0].copy(), lam_vec.upper[:, 0].copy()
-        self.fixed_T = lam_mat.lower.copy()
-        self.fixed_t = lam_vec.lower[:, 0].copy()
-        self.fixed_T[list(stars)] = 0.0
-        self.fixed_t[list(stars)] = 0.0
-
-    def decide(self, n, row, off):
-        self.lam_lo[n] = self.lam_hi[n] = self.fixed_T[n] = row
-        self.vec_lo[n] = self.vec_hi[n] = self.fixed_t[n] = off
-
-    def star(self, n, row_lo, row_hi, off_lo, off_hi):
-        self.lam_lo[n], self.lam_hi[n] = row_lo, row_hi
-        self.vec_lo[n], self.vec_hi[n] = off_lo, off_hi
-        self.fixed_T[n] = 0.0
-        self.fixed_t[n] = 0.0
-
-    def analysis(self, stars, aux) -> LayerAnalysis:
-        return LayerAnalysis(
-            stars,
-            IntervalMatrix(self.lam_lo, self.lam_hi),
-            IntervalMatrix(self.vec_lo.reshape(-1, 1), self.vec_hi.reshape(-1, 1)),
-            self.fixed_T,
-            self.fixed_t,
-            aux,
-        )
-
-
-def _analyze_componentwise(act: ComponentwiseActivation, lp, J, b, with_aux, todo, rows):
-    stars: list[int] = []
-    aux: dict[int, tuple[float, float]] = {}
+def _analyze_componentwise(act: ComponentwiseActivation, lp, J, b, todo, pieces):
+    """Keep, for each neuron in `todo`, its containing piece or else every
+    feasible one; returns the pre-activation ranges (lo, hi), set at `todo`."""
+    todo = np.asarray(todo)
+    lo, hi = np.zeros(act.out_width), np.zeros(act.out_width)
     for n in todo:
-        lo, hi = lp.bounds(J[n])
-        lo += b[n]
-        hi += b[n]
-        feas = []
-        fixed_j = -1
-        for j in range(act.piece_count):
+        lo[n], hi[n] = lp.bounds(J[n])
+    lo += b
+    hi += b
+    left, right = np.array([act.piece_interval(j) for j in range(act.piece_count)]).T
+    zl, zh = lo[todo, None], hi[todo, None]
+    feas = pieces[todo] & (zl <= right + FEAS_TOL) & (zh >= left - FEAS_TOL)
+    contain = feas & (zl >= left - FEAS_TOL) & (zh <= right + FEAS_TOL)
+    none = ~feas.any(axis=1)
+    if none.any():
+        raise LpSolverError(f"no spline piece reachable for neuron {todo[none][0]}")
+    first = np.arange(act.piece_count) == contain.argmax(axis=1)[:, None]
+    pieces[todo] = np.where(contain.any(axis=1)[:, None], first, feas)
+    return lo, hi
+
+
+def _componentwise_aux(act: ComponentwiseActivation, state: LayerState, lo, hi, aux):
+    """Output range of each star neuron over its kept pieces, given its
+    pre-activation range [lo[n], hi[n]]."""
+    for n in state.stars:
+        out_lo = float("inf")
+        out_hi = float("-inf")
+        for j in np.flatnonzero(state.pieces[n]):
             left, right = act.piece_interval(j)
-            if lo <= right + FEAS_TOL and hi >= left - FEAS_TOL:
-                feas.append(j)
-                if fixed_j < 0 and lo >= left - FEAS_TOL and hi <= right + FEAS_TOL:
-                    fixed_j = j
-        if not feas:
-            raise LpSolverError(f"no spline piece reachable for neuron {n}")
-        params = [(act.slopes[n, j], act.intercepts[n, j]) for j in feas]
-        distinct = any(p != params[0] for p in params[1:])
-        diag = np.zeros(act.in_width)
-        if fixed_j >= 0 or not distinct:
-            j = fixed_j if fixed_j >= 0 else feas[0]
-            diag[n] = act.slopes[n, j]
-            rows.decide(n, diag, act.intercepts[n, j])
-        else:
-            stars.append(n)
-            slopes = [p[0] for p in params]
-            ics = [p[1] for p in params]
-            diag_hi = diag.copy()
-            diag[n] = min(slopes)
-            diag_hi[n] = max(slopes)
-            rows.star(n, diag, diag_hi, min(ics), max(ics))
-            if with_aux:
-                out_lo = float("inf")
-                out_hi = float("-inf")
-                for j in feas:
-                    left, right = act.piece_interval(j)
-                    zl = max(lo, left)
-                    zh = min(hi, right)
-                    a, bb = _spline_image(act.slopes[n, j], act.intercepts[n, j], zl, zh)
-                    out_lo = min(out_lo, a)
-                    out_hi = max(out_hi, bb)
-                aux[n] = (out_lo, out_hi)
-    return stars, aux
+            a, bb = _spline_image(act.slopes[n, j], act.intercepts[n, j],
+                                  max(lo[n], left), min(hi[n], right))
+            out_lo = min(out_lo, a)
+            out_hi = max(out_hi, bb)
+        aux[n] = (out_lo, out_hi)
 
 
 def _piece_contains(lp, piece_region, J, b) -> bool:
@@ -176,100 +158,85 @@ def _piece_contains(lp, piece_region, J, b) -> bool:
     return True
 
 
-def _analyze_generic(act: PwlActivation, region, lp, J, b, with_aux, todo, rows):
-    stars: list[int] = []
-    aux: dict[int, tuple[float, float]] = {}
-    for fixed_neurons, pieces in todo:
+def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
+    """Keep, for each group in `todo`, its first containing piece or else every
+    feasible one, testing only the pieces it keeps now."""
+    groups = act.branch_groups()
+    T, t, _, _ = act.piece_table()
+    for g in todo:
+        fixed, group_pieces = groups[g]
         # one LP object per feasible piece region, kept only while the group
         # is open and only when the star outputs need its bounds
         feas = []
         containing = -1
-        for np_piece in pieces:
+        for p in np.flatnonzero(pieces[g]):
+            np_piece = group_pieces[p]
             piece_lp = region_lp(stack(region, affine_preimage(np_piece.region, J, b)))
             if not piece_lp.feasible:
                 continue
-            feas.append((np_piece, piece_lp if with_aux else None))
-            if containing < 0 and _piece_contains(lp, np_piece.region, J, b):
-                containing = len(feas) - 1
+            feas.append((p, piece_lp if aux is not None else None))
+            if _piece_contains(lp, np_piece.region, J, b):
+                containing = p
+                break
         if not feas:
             raise LpSolverError("no activation piece reachable over a non-empty region")
-        group_stars: list[int] = []
-        for rpos, n in enumerate(fixed_neurons):
-            cand = [(p.piece.T[rpos], p.piece.t[rpos]) for p, _ in feas]
-            if containing >= 0:
-                row, off = cand[containing]
-                star = False
-            else:
-                row, off = cand[0]
-                star = any(
-                    not (np.array_equal(rw, row) and off == o) for rw, o in cand[1:]
-                )
-            if star:
-                group_stars.append(n)
-                stars.append(n)
-                cand_rows = np.stack([rw for rw, _ in cand])
-                offs = [o for _, o in cand]
-                rows.star(n, cand_rows.min(axis=0), cand_rows.max(axis=0), min(offs), max(offs))
-            else:
-                rows.decide(n, row, off)
-        if with_aux and group_stars:
-            for n in group_stars:
-                rpos = fixed_neurons.index(n)
-                out_lo = float("inf")
-                out_hi = float("-inf")
-                for p, piece_lp in feas:
-                    const = float(p.piece.T[rpos] @ b + p.piece.t[rpos])
-                    plo, phi = piece_lp.bounds(p.piece.T[rpos] @ J)
-                    out_lo = min(out_lo, plo + const)
-                    out_hi = max(out_hi, phi + const)
-                aux[n] = (out_lo, out_hi)
-    stars.sort()
-    return stars, aux
-
-
-def _identity_layer(act: IdentityActivation) -> LayerAnalysis:
-    """An identity layer needs no LP: its one piece is the whole space, so
-    every neuron is decided with its unit row and no star ever appears."""
-    eye = np.eye(act.out_width)
-    return LayerAnalysis([], exact(eye), exact(np.zeros((act.out_width, 1))), eye,
-                         np.zeros(act.out_width))
+        pieces[g] = False
+        if containing >= 0:
+            pieces[g, containing] = True
+            continue
+        pieces[g, [p for p, _ in feas]] = True
+        if aux is None:
+            continue
+        star = _kept_hull(T[g:g + 1], t[g:g + 1], pieces[g:g + 1])[3]
+        for rpos in np.flatnonzero(star[0]):
+            out_lo = float("inf")
+            out_hi = float("-inf")
+            for p, piece_lp in feas:
+                piece = group_pieces[p].piece
+                const = float(piece.T[rpos] @ b + piece.t[rpos])
+                plo, phi = piece_lp.bounds(piece.T[rpos] @ J)
+                out_lo = min(out_lo, plo + const)
+                out_hi = max(out_hi, phi + const)
+            aux[fixed[rpos]] = (out_lo, out_hi)
 
 
 def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
-                             with_aux: bool = False, record=None,
-                             lp: RegionLP | None = None) -> LayerAnalysis:
-    """Classify each neuron of one activation layer over {J x + b : x in region}.
+                             record: LayerState | None = None,
+                             lp: RegionLP | None = None, aux: dict | None = None) -> LayerState:
+    """Decide which pieces each group of one activation layer keeps over
+    {J x + b : x in region}.
 
-    `record` is (stars, lam_mat, lam_vec) of this layer from an analysis over
-    a superset of the reachable set. With it, only the recorded star neurons
-    are re-analysed (on the generic path, the groups that hold one) and every
-    other row is copied: a neuron decided over a set stays decided, on the
-    same piece, over each of its subsets. `lp` is `region_lp(region)` when the
-    caller already has it.
+    `record` is this layer's state over a superset of the reachable set.
+    With it, only the groups holding a star are re-analysed, each on the
+    pieces it kept there, and every other group keeps its recorded pieces: a
+    piece infeasible over a set is infeasible over each of its subsets, and a
+    piece containing a set contains each of its subsets. `lp` is
+    `region_lp(region)` when the caller already has it. Given a dict as
+    `aux`, the output range (lo, hi) of each star neuron n goes to `aux[n]`.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if J.shape != (act.in_width, region.dim) or b.shape[0] != act.in_width:
         raise ValueError("pre-activation map does not match the layer")
-    if isinstance(act, IdentityActivation):
-        return _identity_layer(act)
-    rows = _LayerRows(act, record)
-    componentwise = isinstance(act, ComponentwiseActivation)
-    if componentwise:
-        todo = range(act.out_width) if record is None else record[0]
+    if record is not None:
+        pieces, todo = record.pieces, record.star_groups
     else:
-        todo = act.branch_groups()
-        if record is not None:
-            todo = [g for g in todo if any(n in record[0] for n in g[0])]
+        pieces = act.piece_table()[2]
+        # an identity layer's one piece is the whole space: no LP decides it
+        todo = () if isinstance(act, IdentityActivation) else range(len(pieces))
     if not todo:
-        return rows.analysis([], {})
+        return record if record is not None else layer_state(act, pieces)
     if lp is None:
         lp = region_lp(region)
-    if componentwise:
-        stars, aux = _analyze_componentwise(act, lp, J, b, with_aux, todo, rows)
-    else:
-        stars, aux = _analyze_generic(act, region, lp, J, b, with_aux, todo, rows)
-    return rows.analysis(stars, aux)
+    pieces = pieces.copy()
+    if isinstance(act, ComponentwiseActivation):
+        lo, hi = _analyze_componentwise(act, lp, J, b, todo, pieces)
+        state = layer_state(act, pieces)
+        if aux is not None:
+            _componentwise_aux(act, state, lo, hi, aux)
+        return state
+    _analyze_generic(act, region, lp, J, b, todo, pieces, aux)
+    return layer_state(act, pieces)
 
 
 def _extend_domain(dom: Polyhedron, bounds) -> Polyhedron:
@@ -303,45 +270,42 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
     dom = omega
     B = net.affine[0].W.copy()
     bb = net.affine[0].b.copy()
-    lam_mats = []
-    lam_vecs = []
-    stars = []
+    layers = []
+    first, prefix = net.depth + 1, None
     trace = [] if collect_trace else None
     for l in range(1, net.depth + 1):
         act = net.activations[l - 1]
         if lp is None and not isinstance(act, IdentityActivation):
             lp = region_lp(dom)
-        la = analyze_activation_layer(act, dom, B, bb, with_aux=True, lp=lp)
-        lam_mats.append(la.lam_mat)
-        lam_vecs.append(la.lam_vec)
-        stars.append(tuple(la.stars))
-        n_star = len(la.stars)
+        aux = {}
+        state = analyze_activation_layer(act, dom, B, bb, lp=lp, aux=aux)
+        layers.append(state)
+        if state.stars and prefix is None:
+            # no star before this layer, so (B, bb) is the exactly folded map
+            first, prefix = l, LinearPrefix(B, bb)
+        n_star = len(state.stars)
         Bhat = np.zeros((act.out_width, dom.dim + n_star))
-        Bhat[:, : dom.dim] = la.fixed_T @ B
-        for k, n in enumerate(la.stars):
+        Bhat[:, : dom.dim] = state.fixed_T @ B
+        for k, n in enumerate(state.stars):
             Bhat[n, dom.dim + k] = 1.0
-        bhat = la.fixed_T @ bb + la.fixed_t
+        bhat = state.fixed_T @ bb + state.fixed_t
         if collect_trace:
             trace.append({
-                "stars": tuple(la.stars),
-                "aux_bounds": dict(la.aux_bounds),
+                "stars": state.stars,
+                "aux_bounds": aux,
                 "Bhat": Bhat.copy(),
                 "bhat": bhat.copy(),
             })
         if n_star:
-            dom = _extend_domain(dom, [la.aux_bounds[n] for n in la.stars])
+            dom = _extend_domain(dom, [aux[n] for n in state.stars])
             lp = None
         if l < net.depth:
             aff = net.affine[l]
             B = aff.W @ Bhat
             bb = aff.W @ bhat + aff.b
-    first = net.depth + 1
-    for l, s in enumerate(stars, start=1):
-        if s:
-            first = l
-            break
-    pattern = InitPattern(tuple(lam_mats), tuple(lam_vecs), first, tuple(stars))
-    return pattern, trace
+    if prefix is None:
+        prefix = LinearPrefix(Bhat, bhat)
+    return InitPattern(tuple(layers), first, prefix), trace
 
 
 def symprop(net: Network, omega: Polyhedron) -> InitPattern:

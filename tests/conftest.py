@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +38,17 @@ ABS_MODEL = {
         {"type": "affine", "W": [[1.0, 1.0]]},
     ]
 }
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def src_env() -> dict:
+    """Environment for a subprocess that imports lipcert from this checkout."""
+    path = str(ROOT / "src")
+    if os.environ.get("PYTHONPATH"):
+        path += os.pathsep + os.environ["PYTHONPATH"]
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def write_json(path, obj) -> str:

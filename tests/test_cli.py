@@ -8,7 +8,7 @@ import pytest
 import lipcert as lc
 from lipcert.cli import main
 
-from conftest import ABS_MODEL, write_json
+from conftest import ABS_MODEL, src_env, write_json
 
 
 @pytest.fixture()
@@ -215,6 +215,6 @@ def test_module_entrypoint_subprocess(abs_model):
     proc = subprocess.run(
         [sys.executable, "-m", "lipcert.cli", "compute", "--model", abs_model,
          "--global"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "exact"

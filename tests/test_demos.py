@@ -1,0 +1,16 @@
+"""Every demo script runs to completion against the package in this checkout."""
+import subprocess
+import sys
+
+import pytest
+
+from conftest import ROOT, src_env
+
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
+def test_demo_runs(script):
+    proc = subprocess.run([sys.executable, str(script)], cwd=ROOT, env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

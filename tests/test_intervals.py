@@ -114,19 +114,8 @@ def test_hull_of_pieces():
     np.testing.assert_array_equal(H.upper, [[1.0, 2.0]])
 
 
-def test_hull_row_masked_rewrite():
-    base = IntervalMatrix(np.zeros((3, 2)), np.ones((3, 2)))
-    H = hull([np.array([[5.0, 5.0]]), np.array([[4.0, 6.0]])], rows=[1], base=base)
-    np.testing.assert_array_equal(H.lower[1], [4.0, 5.0])
-    np.testing.assert_array_equal(H.upper[1], [5.0, 6.0])
-    np.testing.assert_array_equal(H.lower[0], base.lower[0])
-    np.testing.assert_array_equal(H.upper[2], base.upper[2])
-
-
 def test_hull_errors():
     with pytest.raises(ValueError):
         hull([])
     with pytest.raises(ValueError):
         hull([np.ones((1, 2)), np.ones((2, 2))])
-    with pytest.raises(ValueError):
-        hull([np.ones((1, 2))], rows=[0])

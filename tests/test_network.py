@@ -8,8 +8,6 @@ from lipcert import (
     AffineLayer,
     ModelFormatError,
     Network,
-    NotFixedLinearError,
-    lin_prop,
     load_model,
     network_from_json,
 )
@@ -185,12 +183,12 @@ def test_load_model_bad_json(tmp_path):
         load_model(str(p))
 
 
-# linear folding
+# linear folding: the root prefix is the exact map up to the first star layer
 
 def test_lin_prop_first_affine_only():
+    # on [-1, 1] layer 1 holds stars, so the prefix is the first affine layer
     net = make_abs_net()
-    pattern = lc.symprop(net, lc.Polyhedron.from_box([1.0], [2.0]))
-    pre = lin_prop(net, pattern.lam_mats, pattern.lam_vecs, start=0, end=1)
+    pre = lc.initial_subproblem(net, unit_box(1)).prefix
     np.testing.assert_array_equal(pre.J, [[1.0], [-1.0]])
     np.testing.assert_array_equal(pre.b, [0.0, 0.0])
 
@@ -198,19 +196,10 @@ def test_lin_prop_first_affine_only():
 def test_lin_prop_full_fold_on_decided_region():
     # on [1, 2] the relu states are decided, the whole net folds to x -> x
     net = make_abs_net()
-    pattern = lc.symprop(net, lc.Polyhedron.from_box([1.0], [2.0]))
-    assert pattern.first_star_layer == net.depth + 1
-    pre = lin_prop(net, pattern.lam_mats, pattern.lam_vecs, start=0, end=net.depth + 1)
-    np.testing.assert_allclose(pre.J, [[1.0]])
-    np.testing.assert_allclose(pre.b, [0.0])
-
-
-def test_lin_prop_rejects_star_layer():
-    net = make_abs_net()
-    pattern = lc.symprop(net, unit_box(1))
-    assert pattern.first_star_layer == 1
-    with pytest.raises(NotFixedLinearError, match="layer 1"):
-        lin_prop(net, pattern.lam_mats, pattern.lam_vecs, start=0, end=net.depth + 1)
+    root = lc.initial_subproblem(net, lc.Polyhedron.from_box([1.0], [2.0]))
+    assert root.first_star_layer == net.depth + 1
+    np.testing.assert_allclose(root.prefix.J, [[1.0]])
+    np.testing.assert_allclose(root.prefix.b, [0.0])
 
 
 def test_lin_prop_matches_forward_on_linear_net():
@@ -219,14 +208,7 @@ def test_lin_prop_matches_forward_on_linear_net():
         AffineLayer(rng.normal(size=(3, 2)), rng.normal(size=3)),
         AffineLayer(rng.normal(size=(2, 3)), rng.normal(size=2)),
     ])
-    pattern = lc.symprop(net, lc.Polyhedron.universe(2))
-    pre = lin_prop(net, pattern.lam_mats, pattern.lam_vecs)
+    pre = lc.initial_subproblem(net, lc.Polyhedron.universe(2)).prefix
     for _ in range(10):
         x = rng.normal(size=2)
         np.testing.assert_allclose(pre.J @ x + pre.b, net.forward(x), atol=1e-9)
-
-
-def test_lin_prop_bad_range():
-    net = make_abs_net()
-    with pytest.raises(ValueError):
-        lin_prop(net, (), (), start=2, end=2)

@@ -19,8 +19,8 @@ def test_abs_decided_region():
     net = make_abs_net()
     pattern = symprop(net, Polyhedron.from_box([1.0], [2.0]))
     assert pattern.first_star_layer == net.depth + 1
-    assert pattern.stars == ((), ())
-    lam = pattern.lam_mats[0]
+    assert [s.stars for s in pattern.layers] == [(), ()]
+    lam = pattern.layers[0].lam_mat
     assert lam.is_degenerate()
     np.testing.assert_allclose(lam.lower, np.diag([1.0, 0.0]))
 
@@ -30,8 +30,8 @@ def test_abs_mixed_region():
     net = make_abs_net()
     pattern = symprop(net, unit_box(1))
     assert pattern.first_star_layer == 1
-    assert pattern.stars[0] == (0, 1)
-    lam = pattern.lam_mats[0]
+    assert pattern.layers[0].stars == (0, 1)
+    lam = pattern.layers[0].lam_mat
     np.testing.assert_allclose(lam.lower, np.zeros((2, 2)))
     np.testing.assert_allclose(lam.upper, np.eye(2))
 
@@ -41,7 +41,7 @@ def test_abs_negative_region():
     net = make_abs_net()
     pattern = symprop(net, Polyhedron.from_box([-2.0], [-1.0]))
     assert pattern.first_star_layer == net.depth + 1
-    np.testing.assert_allclose(pattern.lam_mats[0].lower, np.diag([0.0, 1.0]))
+    np.testing.assert_allclose(pattern.layers[0].lam_mat.lower, np.diag([0.0, 1.0]))
 
 
 def test_face_touching_region_is_decided():
@@ -49,7 +49,7 @@ def test_face_touching_region_is_decided():
     net = make_abs_net()
     pattern = symprop(net, Polyhedron.from_box([0.0], [1.0]))
     assert pattern.first_star_layer == net.depth + 1
-    np.testing.assert_allclose(pattern.lam_mats[0].lower, np.diag([1.0, 0.0]))
+    np.testing.assert_allclose(pattern.layers[0].lam_mat.lower, np.diag([1.0, 0.0]))
 
 
 def test_aux_bounds_from_region():
@@ -84,7 +84,7 @@ def test_identity_net_has_no_stars():
     net = Network([AffineLayer([[2.0, 1.0]], [0.5])])
     pattern = symprop(net, unit_box(2))
     assert pattern.first_star_layer == net.depth + 1
-    assert all(s == () for s in pattern.stars)
+    assert all(s.stars == () for s in pattern.layers)
 
 
 def test_infeasible_region_raises():
@@ -104,11 +104,11 @@ def test_maxmin_group_stars():
     net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.maxmin(2),
                    AffineLayer([[1.0, 1.0]], [0.0])])
     pattern = symprop(net, unit_box(2))
-    assert pattern.stars[0] == (0, 1)
+    assert pattern.layers[0].stars == (0, 1)
     # on a region with a fixed ordering the group is decided
     pattern = symprop(net, Polyhedron.from_box([2.0, -1.0], [3.0, 1.0]))
-    assert pattern.stars[0] == ()
-    np.testing.assert_allclose(pattern.lam_mats[0].lower, [[0.0, 1.0], [1.0, 0.0]])
+    assert pattern.layers[0].stars == ()
+    np.testing.assert_allclose(pattern.layers[0].lam_mat.lower, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_group_fixed_by_identical_parameters():
@@ -160,9 +160,9 @@ def test_decided_rows_match_sampled_jacobians():
                 T, t, flagged = act.local_linearization(z)
                 if flagged:
                     break
-                lam = pattern.lam_mats[l]
+                lam = pattern.layers[l].lam_mat
                 decided = [n for n in range(act.out_width)
-                           if n not in pattern.stars[l]]
+                           if n not in pattern.layers[l].stars]
                 for n in decided:
                     np.testing.assert_allclose(T[n], lam.lower[n], atol=1e-9)
                     np.testing.assert_allclose(T[n], lam.upper[n], atol=1e-9)
@@ -184,7 +184,7 @@ def test_star_hull_covers_sampled_rows():
                 T, _, flagged = act.local_linearization(z)
                 if flagged:
                     break
-                lam = pattern.lam_mats[l]
+                lam = pattern.layers[l].lam_mat
                 assert np.all(T >= lam.lower - 1e-9)
                 assert np.all(T <= lam.upper + 1e-9)
                 v = act.evaluate(z)
@@ -201,7 +201,7 @@ def test_shrinking_region_never_adds_stars():
         small = symprop(net, lc.Polyhedron.from_box([-0.25] * d, [0.25] * d))
         assert small.first_star_layer >= big.first_star_layer
         for l in range(min(big.first_star_layer, net.depth)):
-            assert set(small.stars[l]) <= set(big.stars[l])
+            assert set(small.layers[l].stars) <= set(big.layers[l].stars)
 
 
 def test_first_star_layer_is_first_nonempty():
@@ -209,6 +209,40 @@ def test_first_star_layer_is_first_nonempty():
     for _ in range(10):
         net = random_net(rng)
         pattern = symprop(net, unit_box(net.input_dim))
-        firsts = [l + 1 for l, s in enumerate(pattern.stars) if s]
+        firsts = [l + 1 for l, s in enumerate(pattern.layers) if s.stars]
         expect = firsts[0] if firsts else net.depth + 1
         assert pattern.first_star_layer == expect
+
+
+def test_layer_state_matches_per_group_hull():
+    """layer_state against a group-by-group hull of the kept pieces' rows,
+    on random kept sets, with padded groups (short windows, remainders)."""
+    rng = np.random.default_rng(24)
+    acts = [lc.relu(3), lc.spline(2, [-1.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]),
+            lc.groupsort(5, 2), lc.groupsort(4, 3), lc.maxmin(4),
+            lc.MaxPoolActivation(5, [(0, 1, 2), (3, 4)])]
+    for act in acts:
+        valid = act.piece_table()[2]
+        for _ in range(10):
+            pieces = valid & (rng.random(valid.shape) < 0.5)
+            for g in range(len(valid)):
+                if not pieces[g].any():
+                    pieces[g, rng.choice(np.flatnonzero(valid[g]))] = True
+            state = lc.layer_state(act, pieces)
+            stars = []
+            for (fixed, group_pieces), kept in zip(act.branch_groups(), pieces):
+                chosen = [group_pieces[p].piece for p in np.flatnonzero(kept)]
+                for rpos, n in enumerate(fixed):
+                    rows = np.array([c.T[rpos] for c in chosen])
+                    offs = np.array([c.t[rpos] for c in chosen])
+                    np.testing.assert_array_equal(state.lam_mat.lower[n], rows.min(axis=0))
+                    np.testing.assert_array_equal(state.lam_mat.upper[n], rows.max(axis=0))
+                    if (rows != rows[0]).any() or (offs != offs[0]).any():
+                        stars.append(n)
+                        assert not state.fixed_T[n].any() and state.fixed_t[n] == 0.0
+                    else:
+                        np.testing.assert_array_equal(state.fixed_T[n], rows[0])
+                        assert state.fixed_t[n] == offs[0]
+            assert state.stars == tuple(sorted(stars))
+            assert state.star_groups == tuple(
+                g for g, (fixed, _) in enumerate(act.branch_groups()) if set(fixed) & set(stars))
