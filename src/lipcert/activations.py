@@ -1,17 +1,21 @@
-"""Piecewise-linear activation layers and their per-neuron polyhedral pieces.
+"""Piecewise-linear activation layers and their polyhedral pieces.
 
-Every activation exposes, per output neuron, a finite list of closed
-polyhedra covering its input space; on each polyhedron the neuron (and
-possibly the rest of its group) is a fixed affine map of the layer input.
-Branch-and-bound fixes activation states by intersecting input regions with
-these pieces, so the piece list order is part of the deterministic contract:
-ties are always resolved toward the lowest piece index.
+Every activation states its pieces once, in `group_pieces`: per branch group
+(neurons whose outputs are fixed together), a finite list of closed polyhedra
+`C z <= c` covering the layer's input space, and on each the group's affine
+map `T z + t`. The base class derives every other view from that list and
+keeps it: `branch_groups` (`NeuronPiece` objects for the generic analysis and
+the oracle), `neuron_decomposition`, `piece_table` (padded arrays for the
+vectorised analysis and branching) and the point linearisation. The piece
+list order is part of the deterministic contract: ties are always resolved
+toward the lowest piece index.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,8 +56,26 @@ class NeuronPiece:
         return self.piece.rows
 
 
+class PieceTable(NamedTuple):
+    """`group_pieces()` as padded arrays, for group g and piece p.
+
+    `T[g, p]`, `t[g, p]` hold the piece's map rows and offsets, zero-padded
+    to the largest group; `C[g, p]`, `c[g, p]` its raw region rows, padded
+    with the vacuous row 0 <= 0; `valid[g, p]` marks the pieces that exist.
+    Neuron n's map row is at flat position `order[n]` of a (groups, rows)
+    array.
+    """
+
+    T: np.ndarray
+    t: np.ndarray
+    valid: np.ndarray
+    order: np.ndarray
+    C: np.ndarray
+    c: np.ndarray
+
+
 class PwlActivation:
-    """Base contract: piece decompositions plus direct evaluation."""
+    """Base contract: the pieces of each branch group plus direct evaluation."""
 
     kind = "pwl"
 
@@ -63,7 +85,10 @@ class PwlActivation:
         self.in_width = int(in_width)
         self.out_width = int(out_width)
 
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
+    def group_pieces(self):
+        """[(fixed_neurons, [(C, c, T, t), ...]), ...] per branch group, in
+        neuron order: each piece holds on {z : C z <= c}, where the fixed
+        neurons' outputs are T z + t. The only statement of the pieces."""
         raise NotImplementedError
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
@@ -72,58 +97,65 @@ class PwlActivation:
     def activation_lipschitz(self, pair) -> float:
         raise NotImplementedError
 
-    def local_linearization(self, z: np.ndarray, boundary_tol: float = 1e-9):
-        """(T, t, boundary_flag) of the lowest-index piece containing z."""
-        raise NotImplementedError
-
     def branch_groups(self):
-        """(fixed_neurons, pieces) per independent group, in neuron order.
+        """(fixed_neurons, pieces) per group, the pieces as `NeuronPiece`s.
 
         Built on the first call and kept: the pieces are immutable, and every
         analysis of the layer asks for them again.
         """
         groups = self.__dict__.get("_branch_groups")
         if groups is None:
-            groups = []
-            seen = set()
-            for n in range(self.out_width):
-                if n in seen:
-                    continue
-                pieces = self.neuron_decomposition(n)
-                fixed = pieces[0].fixed_neurons
-                seen.update(fixed)
-                groups.append((fixed, tuple(pieces)))
-            self._branch_groups = groups = tuple(groups)
+            self._branch_groups = groups = tuple(
+                (tuple(fixed), tuple(
+                    NeuronPiece(Polyhedron(C, c, dim=self.in_width), AffinePiece(T, t, fixed))
+                    for C, c, T, t in pieces))
+                for fixed, pieces in self.group_pieces())
         return groups
 
-    def piece_table(self):
-        """(T, t, valid, order): `branch_groups()` as padded arrays, built once.
+    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
+        """The pieces of neuron n's group."""
+        self._check_neuron(n)
+        table = self.piece_table()
+        return list(self.branch_groups()[table.order[n] // table.T.shape[2]][1])
 
-        For group g and piece p, `T[g, p]` and `t[g, p]` hold the piece's
-        rows and offsets, zero-padded to the largest group, and `valid[g, p]`
-        marks the pieces that exist. Neuron n's row is at flat position
-        `order[n]` of a (groups, rows) array.
-        """
+    def piece_table(self) -> PieceTable:
+        """`group_pieces()` as a `PieceTable`, built once."""
         table = self.__dict__.get("_piece_table")
         if table is None:
-            groups = self.branch_groups()
-            shape = (len(groups), max(len(p) for _, p in groups),
-                     max(len(f) for f, _ in groups))
-            T = np.zeros(shape + (self.in_width,))
-            t = np.zeros(shape)
-            valid = np.zeros(shape[:2], dtype=bool)
-            order = np.zeros(self.out_width, dtype=int)
+            groups = self.group_pieces()
+            G, P = len(groups), max(len(p) for _, p in groups)
+            R = max(len(f) for f, _ in groups)
+            M = max(len(piece[0]) for _, p in groups for piece in p)
+            table = PieceTable(np.zeros((G, P, R, self.in_width)), np.zeros((G, P, R)),
+                               np.zeros((G, P), dtype=bool), np.zeros(self.out_width, dtype=int),
+                               np.zeros((G, P, M, self.in_width)), np.zeros((G, P, M)))
             for g, (fixed, pieces) in enumerate(groups):
-                r = len(fixed)
-                order[list(fixed)] = g * shape[2] + np.arange(r)
-                valid[g, :len(pieces)] = True
-                for p, np_piece in enumerate(pieces):
-                    T[g, p, :r] = np_piece.piece.T
-                    t[g, p, :r] = np_piece.piece.t
-            for arr in (T, t, valid, order):
+                table.order[list(fixed)] = g * R + np.arange(len(fixed))
+                table.valid[g, :len(pieces)] = True
+                for p, (C, c, T, t) in enumerate(pieces):
+                    table.C[g, p, :len(C)] = C
+                    table.c[g, p, :len(C)] = c
+                    table.T[g, p, :len(fixed)] = T
+                    table.t[g, p, :len(fixed)] = t
+            for arr in table:
                 arr.setflags(write=False)
-            self._piece_table = table = (T, t, valid, order)
+            self._piece_table = table
         return table
+
+    def local_linearization(self, z: np.ndarray, boundary_tol: float = 1e-9):
+        """(T, t, boundary_flag): per group, the map of the lowest-index piece
+        whose rows hold at z; flagged when a second piece of some group holds
+        at z within boundary_tol."""
+        z = self._check_input(z)
+        table = self.piece_table()
+        lhs = table.C @ z
+        holds = table.valid & (lhs <= table.c).all(axis=2)
+        near = table.valid & (lhs <= table.c + boundary_tol).all(axis=2)
+        g = np.arange(len(holds))
+        p = holds.argmax(axis=1)
+        T = table.T[g, p].reshape(-1, self.in_width)[table.order]
+        t = table.t[g, p].reshape(-1)[table.order]
+        return T, t, bool((near.sum(axis=1) > 1).any())
 
     def _check_neuron(self, n: int):
         if not (0 <= n < self.out_width):
@@ -191,43 +223,20 @@ class ComponentwiseActivation(PwlActivation):
         right = self.breakpoints[j] if j < self.piece_count - 1 else float("inf")
         return left, right
 
-    def piece_table(self):
-        # one group per neuron, built from the spline table without the
-        # pieces' polyhedra, which the analysis of this layer never needs
-        table = self.__dict__.get("_piece_table")
-        if table is None:
-            w, k = self.in_width, self.piece_count
-            n = np.arange(w)
-            T = np.zeros((w, k, 1, w))
-            T[n, :, 0, n] = self.slopes
-            table = (T, self.intercepts[:, :, None], np.ones((w, k), dtype=bool), n)
-            for arr in table:
-                arr.setflags(write=False)
-            self._piece_table = table
-        return table
-
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
-        self._check_neuron(n)
-        out = []
-        for j in range(self.piece_count):
-            left, right = self.piece_interval(j)
-            rows = []
-            offs = []
-            if np.isfinite(left):
-                rows.append(_basis_row(self.in_width, n, -1.0)[0])
-                offs.append(-left)
-            if np.isfinite(right):
-                rows.append(_basis_row(self.in_width, n, 1.0)[0])
-                offs.append(right)
-            region = Polyhedron(np.array(rows) if rows else np.zeros((0, self.in_width)),
-                                np.array(offs), dim=self.in_width)
-            piece = AffinePiece(
-                _basis_row(self.in_width, n, self.slopes[n, j]),
-                [self.intercepts[n, j]],
-                (n,),
-            )
-            out.append(NeuronPiece(region, piece))
-        return out
+    def group_pieces(self):
+        groups = []
+        for n in range(self.in_width):
+            pieces = []
+            for j in range(self.piece_count):
+                left, right = self.piece_interval(j)
+                rows = [(s, off) for s, off in ((-1.0, -left), (1.0, right)) if np.isfinite(off)]
+                C = np.zeros((len(rows), self.in_width))
+                C[:, n] = [s for s, _ in rows]
+                pieces.append((C, np.array([off for _, off in rows]),
+                               _basis_row(self.in_width, n, self.slopes[n, j]),
+                               self.intercepts[n, [j]]))
+            groups.append(((n,), pieces))
+        return groups
 
     def _piece_index(self, z: np.ndarray) -> np.ndarray:
         # side="left" sends a value equal to a knot to the piece on its left,
@@ -304,26 +313,18 @@ class GroupSortActivation(PwlActivation):
             self.groups.append(tuple(range(start, stop)))
             start = stop
 
-    def _group_of(self, n: int) -> tuple[int, ...]:
-        return self.groups[n // self.group_size]
-
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
-        self._check_neuron(n)
-        group = self._group_of(n)
-        g = len(group)
-        out = []
-        for perm in itertools.permutations(group):
-            rows = np.zeros((g - 1, self.in_width))
-            for k in range(g - 1):
-                rows[k, perm[k]] = 1.0
-                rows[k, perm[k + 1]] = -1.0
-            region = Polyhedron(rows, np.zeros(g - 1), dim=self.in_width)
-            T = np.zeros((g, self.in_width))
-            for slot in range(g):
-                T[slot, perm[slot]] = 1.0
-            piece = AffinePiece(T, np.zeros(g), group)
-            out.append(NeuronPiece(region, piece))
-        return out
+    def group_pieces(self):
+        e = np.eye(self.in_width)
+        groups = []
+        for group in self.groups:
+            g = len(group)
+            pieces = []
+            for perm in itertools.permutations(group):
+                perm = list(perm)
+                # ascending along the permutation: z[perm[k]] - z[perm[k + 1]] <= 0
+                pieces.append((e[perm[:-1]] - e[perm[1:]], np.zeros(g - 1), e[perm], np.zeros(g)))
+            groups.append((group, pieces))
+        return groups
 
     def evaluate(self, x) -> np.ndarray:
         x = self._check_input(x)
@@ -336,22 +337,6 @@ class GroupSortActivation(PwlActivation):
     def activation_lipschitz(self, pair) -> float:
         # every piece is a permutation matrix
         return 1.0
-
-    def local_linearization(self, z, boundary_tol: float = 1e-9):
-        z = self._check_input(z)
-        T = np.zeros((self.out_width, self.in_width))
-        boundary = False
-        for group in self.groups:
-            idx = np.array(group)
-            # stable sort keeps tied coordinates in index order, matching the
-            # lexicographically first permutation among the ties
-            order = idx[np.argsort(z[idx], kind="stable")]
-            for slot, src in enumerate(order):
-                T[group[slot], src] = 1.0
-            vals = z[order]
-            if vals.size > 1 and np.min(np.diff(vals)) <= boundary_tol:
-                boundary = True
-        return T, np.zeros(self.out_width), boundary
 
 
 def maxmin(width: int) -> GroupSortActivation:
@@ -389,24 +374,17 @@ class MaxPoolActivation(PwlActivation):
         self.kind = "maxpool"
         self.windows = cleaned
 
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
-        self._check_neuron(n)
-        window = self.windows[n]
-        out = []
-        for k in window:
-            rows = []
-            for j in window:
-                if j == k:
-                    continue
-                row = np.zeros(self.in_width)
-                row[j] = 1.0
-                row[k] = -1.0
-                rows.append(row)
-            region = Polyhedron(np.array(rows) if rows else np.zeros((0, self.in_width)),
-                                np.zeros(len(rows)), dim=self.in_width)
-            piece = AffinePiece(_basis_row(self.in_width, k), [0.0], (n,))
-            out.append(NeuronPiece(region, piece))
-        return out
+    def group_pieces(self):
+        e = np.eye(self.in_width)
+        groups = []
+        for n, window in enumerate(self.windows):
+            pieces = []
+            for k in window:
+                # z[k] is a maximum: z[j] - z[k] <= 0 for the window's other j
+                others = [j for j in window if j != k]
+                pieces.append((e[others] - e[k], np.zeros(len(others)), e[[k]], np.zeros(1)))
+            groups.append(((n,), pieces))
+        return groups
 
     def evaluate(self, x) -> np.ndarray:
         x = self._check_input(x)
@@ -416,20 +394,6 @@ class MaxPoolActivation(PwlActivation):
         # every piece row is a coordinate selector
         return 1.0
 
-    def local_linearization(self, z, boundary_tol: float = 1e-9):
-        z = self._check_input(z)
-        T = np.zeros((self.out_width, self.in_width))
-        boundary = False
-        for n, window in enumerate(self.windows):
-            vals = z[list(window)]
-            k = int(np.argmax(vals))  # first max wins, the lowest-index piece
-            T[n, window[k]] = 1.0
-            if len(window) > 1:
-                top = np.sort(vals)[-2:]
-                if top[1] - top[0] <= boundary_tol:
-                    boundary = True
-        return T, np.zeros(self.out_width), boundary
-
 
 class IdentityActivation(PwlActivation):
     """Pads affine-affine adjacencies so layers strictly alternate."""
@@ -438,17 +402,13 @@ class IdentityActivation(PwlActivation):
         super().__init__(width, width)
         self.kind = "identity"
 
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
-        self._check_neuron(n)
-        piece = AffinePiece(_basis_row(self.in_width, n), [0.0], (n,))
-        return [NeuronPiece(Polyhedron.universe(self.in_width), piece)]
+    def group_pieces(self):
+        e = np.eye(self.in_width)
+        return [((n,), [(np.zeros((0, self.in_width)), np.zeros(0), e[[n]], np.zeros(1))])
+                for n in range(self.in_width)]
 
     def evaluate(self, x) -> np.ndarray:
         return self._check_input(x).copy()
 
     def activation_lipschitz(self, pair) -> float:
         return 1.0
-
-    def local_linearization(self, z, boundary_tol: float = 1e-9):
-        z = self._check_input(z)
-        return np.eye(self.in_width), np.zeros(self.in_width), False

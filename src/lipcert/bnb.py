@@ -62,11 +62,12 @@ class SolverConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.theta < 1.0:
+        # written as `not x >= bound` so that NaN is rejected too
+        if not self.theta >= 1.0:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
         if self.sample_count < 0:
             raise ValueError("sample_count must be non-negative")
-        if self.time_limit is not None and self.time_limit < 0:
+        if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be non-negative")
         if self.max_iterations is not None and self.max_iterations < 0:
             raise ValueError("max_iterations must be non-negative")
@@ -163,14 +164,13 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     act = net.activations[lt - 1]
     state = sub.layers[lt - 1]
     neuron = state.stars[0]
-    T, _, _, order = act.piece_table()
-    g = order[neuron] // T.shape[2]  # the neuron's group
-    # the group's pieces, in the order of `act.branch_groups()[g]`
-    group_pieces = act.neuron_decomposition(neuron)
+    table = act.piece_table()
+    g = table.order[neuron] // table.T.shape[2]  # the neuron's group
     children = []
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):
-        reg = stack(sub.region, affine_preimage(group_pieces[p].region, sub.prefix.J, sub.prefix.b))
+        piece = Polyhedron(table.C[g, p], table.c[g, p], dim=act.in_width)
+        reg = stack(sub.region, affine_preimage(piece, sub.prefix.J, sub.prefix.b))
         lp = region_lp(reg)  # its phase 1 is the feasibility test and serves ffilter
         if not lp.feasible:
             continue

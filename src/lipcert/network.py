@@ -144,12 +144,14 @@ class Network:
         J = None
         flagged = False
         for aff, act in zip(self.affine, self.activations):
-            z = aff.W @ v + aff.b
+            v = aff.W @ v + aff.b
             J = aff.W if J is None else aff.W @ J
-            T, t, near = act.local_linearization(z, boundary_tol)
+            if isinstance(act, IdentityActivation):
+                continue  # one piece, the identity map: nothing to apply
+            T, t, near = act.local_linearization(v, boundary_tol)
             flagged = flagged or near
             J = T @ J
-            v = act.evaluate(z)
+            v = T @ v + t
         return J, flagged
 
 
@@ -174,6 +176,13 @@ def _finite_array(values, layer: int, name: str) -> np.ndarray:
     if arr.dtype == object or not np.isfinite(arr).all():
         raise ModelFormatError(f"layer {layer}: non-finite value in {name}")
     return arr
+
+
+def _integer(value, name: str) -> int:
+    # a JSON integer only: int() would truncate 2.9 to 2 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def _load_affine(entry: dict, layer: int) -> AffineLayer:
@@ -215,13 +224,17 @@ def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
                 _finite_array(entry["intercepts"], layer, "intercepts"),
             )
         if kind == "groupsort":
-            return act_mod.groupsort(width, int(entry["group_size"]))
+            return act_mod.groupsort(width, _integer(entry["group_size"], "group_size"))
         if kind == "fullsort":
             return act_mod.fullsort(width)
         if kind == "maxmin":
             return act_mod.maxmin(width)
         if kind == "maxpool":
-            return act_mod.MaxPoolActivation(width, entry["windows"])
+            windows = entry["windows"]
+            if not isinstance(windows, list) or not all(isinstance(w, list) for w in windows):
+                raise ValueError("windows must be a list of index lists")
+            return act_mod.MaxPoolActivation(
+                width, [[_integer(i, "a window index") for i in w] for w in windows])
         if kind == "identity":
             return IdentityActivation(width)
     except ValueError as err:

@@ -6,7 +6,7 @@ import json
 import numpy as np
 
 from . import simplex
-from .exceptions import InfeasibleRegionError, ModelFormatError
+from .exceptions import ModelFormatError
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
@@ -166,16 +166,6 @@ def linear_bounds(P: Polyhedron, objective) -> tuple[float, float]:
 def support_value(P: Polyhedron, objective) -> float:
     """sup of objective.x over P (+inf if unbounded); P must be non-empty."""
     return region_lp(P).support(_objective(P, objective))
-
-
-def minimize_point(P: Polyhedron, objective) -> np.ndarray | None:
-    """A minimizer of objective.x over P, or None when the LP is unbounded."""
-    res = region_lp(P).minimize(_objective(P, objective))
-    if res.status == "infeasible":
-        raise InfeasibleRegionError("minimization over an empty region")
-    if res.status == "unbounded":
-        return None
-    return res.x
 
 
 def coordinate_bounds(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:

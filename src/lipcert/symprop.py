@@ -84,14 +84,14 @@ def _kept_hull(T, t, kept):
 
 def layer_state(act: PwlActivation, pieces) -> LayerState:
     """The state of `act` that keeps `pieces`, a boolean mask shaped like
-    `act.piece_table()[2]`; every group must keep at least one piece."""
-    T, t, _, order = act.piece_table()
+    `act.piece_table().valid`; every group must keep at least one piece."""
+    table = act.piece_table()
     pieces = np.array(pieces, dtype=bool)
     pieces.setflags(write=False)
-    lo, hi, off, star = _kept_hull(T, t, pieces)
+    lo, hi, off, star = _kept_hull(table.T, table.t, pieces)
     k = act.in_width
-    lo, hi = lo.reshape(-1, k)[order], hi.reshape(-1, k)[order]
-    off, star_n = off.reshape(-1)[order], star.reshape(-1)[order]
+    lo, hi = lo.reshape(-1, k)[table.order], hi.reshape(-1, k)[table.order]
+    off, star_n = off.reshape(-1)[table.order], star.reshape(-1)[table.order]
     return LayerState(
         pieces,
         tuple(np.flatnonzero(star_n).tolist()),
@@ -162,7 +162,7 @@ def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
     """Keep, for each group in `todo`, its first containing piece or else every
     feasible one, testing only the pieces it keeps now."""
     groups = act.branch_groups()
-    T, t, _, _ = act.piece_table()
+    table = act.piece_table()
     for g in todo:
         fixed, group_pieces = groups[g]
         # one LP object per feasible piece region, kept only while the group
@@ -187,7 +187,7 @@ def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
         pieces[g, [p for p, _ in feas]] = True
         if aux is None:
             continue
-        star = _kept_hull(T[g:g + 1], t[g:g + 1], pieces[g:g + 1])[3]
+        star = _kept_hull(table.T[g:g + 1], table.t[g:g + 1], pieces[g:g + 1])[3]
         for rpos in np.flatnonzero(star[0]):
             out_lo = float("inf")
             out_hi = float("-inf")
@@ -221,7 +221,7 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
     if record is not None:
         pieces, todo = record.pieces, record.star_groups
     else:
-        pieces = act.piece_table()[2]
+        pieces = act.piece_table().valid
         # an identity layer's one piece is the whole space: no LP decides it
         todo = () if isinstance(act, IdentityActivation) else range(len(pieces))
     if not todo:

@@ -104,9 +104,9 @@ def sample_in_region(region: lc.Polyhedron, rng, count: int, reject_budget=100):
     if len(pts) < count:
         verts = []
         for _ in range(max(4, 2 * region.dim)):
-            v = polyhedra.minimize_point(region, rng.normal(size=region.dim))
-            if v is not None:
-                verts.append(v)
+            res = polyhedra.region_lp(region).minimize(rng.normal(size=region.dim))
+            if res.status == "optimal":
+                verts.append(res.x)
         if verts:
             verts = np.array(verts)
             while len(pts) < count:

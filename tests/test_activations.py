@@ -282,6 +282,23 @@ def test_local_linearization_consistent(act):
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
+def test_local_linearization_lowest_piece_on_ties(act):
+    # integer points tie coordinates with each other and sit on the knots
+    # (-1, 0, 1), so several pieces of a group often hold at once
+    tol = 1e-9
+    for x in itertools.product(range(-2, 3), repeat=act.in_width):
+        x = np.array(x, dtype=float)
+        T, t, flagged = act.local_linearization(x, tol)
+        second = False
+        for fixed, pieces in act.branch_groups():
+            holding = [np_ for np_ in pieces if np_.region.contains(x, tol=0.0)]
+            np.testing.assert_array_equal(T[list(fixed)], holding[0].piece.T)
+            np.testing.assert_array_equal(t[list(fixed)], holding[0].piece.t)
+            second |= sum(np_.region.contains(x, tol=tol) for np_ in pieces) > 1
+        assert flagged == second, x
+
+
+@pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_evaluate_is_activation_lipschitz(act):
     rng = np.random.default_rng(16)
     for pair in ALL_PAIRS:

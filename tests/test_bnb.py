@@ -285,6 +285,10 @@ def test_solver_config_validation():
         SolverConfig(sample_count=-1)
     with pytest.raises(ValueError):
         SolverConfig(time_limit=-1.0)
+    with pytest.raises(ValueError):
+        SolverConfig(theta=float("nan"))
+    with pytest.raises(ValueError):
+        SolverConfig(time_limit=float("nan"))
 
 
 # oracle

@@ -166,6 +166,12 @@ def test_model_rejections():
                     {"type": "leaky_relu"}]},  # missing slope
         [],
     ]
+    # integer fields: no truncation of fractions, no booleans read as 0 or 1
+    pair = {"type": "affine", "W": [[1.0, 0.0], [0.0, 1.0]]}
+    for bad in ([[0.7, 1]], [[True, 1]], [[0, 1.0]], [["0", 1]], [0, 1], "01"):
+        cases.append({"layers": [pair, {"type": "maxpool", "windows": bad}]})
+    for bad in (2.9, True, 2.0, "2", None):
+        cases.append({"layers": [pair, {"type": "groupsort", "group_size": bad}]})
     for data in cases:
         with pytest.raises(ModelFormatError):
             network_from_json(data)

@@ -16,7 +16,7 @@ from lipcert import (
     region_from_json,
     stack,
 )
-from lipcert.polyhedra import feasible_point, minimize_point, support_value
+from lipcert.polyhedra import feasible_point, support_value
 
 
 def test_row_normalization_and_dedup():
@@ -146,13 +146,6 @@ def test_linear_bounds_sandwich_random_points():
             v = obj @ x
             assert lo - 1e-9 <= v <= hi + 1e-9
             pts += 1
-
-
-def test_minimize_point():
-    B = Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0])
-    x = minimize_point(B, [1.0, 1.0])
-    np.testing.assert_allclose(x, [-1.0, -1.0], atol=1e-9)
-    assert minimize_point(Polyhedron.universe(1), [1.0]) is None
 
 
 def test_coordinate_bounds():
