@@ -60,18 +60,39 @@ class PieceTable(NamedTuple):
     """`group_pieces()` as padded arrays, for group g and piece p.
 
     `T[g, p]`, `t[g, p]` hold the piece's map rows and offsets, zero-padded
-    to the largest group; `C[g, p]`, `c[g, p]` its raw region rows, padded
-    with the vacuous row 0 <= 0; `valid[g, p]` marks the pieces that exist.
-    Neuron n's map row is at flat position `order[n]` of a (groups, rows)
-    array.
+    to the largest group; `valid[g, p]` marks the pieces that exist. Neuron
+    n's map row is at flat position `order[n]` of a (groups, rows) array.
+    Region rows are kept once per group, over its input columns `cols[g]`
+    (padded with the column `in_width`, which reads 0): the k-th distinct
+    row is `A[g, k] z[cols[g]] <= a[g, k]`. Piece p's raw rows are the rows
+    `rows[g, p]` in order (padded with -1); `need[:, g, p]` packs the same
+    set as bits, for the containment test of `holding`.
     """
 
     T: np.ndarray
     t: np.ndarray
     valid: np.ndarray
     order: np.ndarray
-    C: np.ndarray
-    c: np.ndarray
+    cols: np.ndarray
+    A: np.ndarray
+    a: np.ndarray
+    rows: np.ndarray
+    need: np.ndarray
+
+    def region(self, g: int, p: int) -> Polyhedron:
+        """Piece p of group g's region, from the same raw rows as the piece."""
+        k = self.rows[g, p][self.rows[g, p] >= 0]
+        C = np.zeros((len(k), self.T.shape[3] + 1))
+        C[:, self.cols[g]] = self.A[g, k]
+        return Polyhedron(C[:, :-1], self.a[g, k], dim=self.T.shape[3])
+
+    def holding(self, z: np.ndarray, tol: float) -> np.ndarray:
+        """(2, groups, pieces) masks of the pieces whose rows hold at z:
+        exactly, and within tol."""
+        lhs = np.matmul(self.A, np.append(z, 0.0)[self.cols][:, :, None])[:, :, 0]
+        ok = np.packbits(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1), axis=2)
+        # a piece holds when none of the rows it needs is missing from ok
+        return self.valid & ~(self.need[:, None] & ~ok.transpose(2, 0, 1)[..., None]).any(axis=0)
 
 
 class PwlActivation:
@@ -126,17 +147,31 @@ class PwlActivation:
             G, P = len(groups), max(len(p) for _, p in groups)
             R = max(len(f) for f, _ in groups)
             M = max(len(piece[0]) for _, p in groups for piece in p)
-            table = PieceTable(np.zeros((G, P, R, self.in_width)), np.zeros((G, P, R)),
-                               np.zeros((G, P), dtype=bool), np.zeros(self.out_width, dtype=int),
-                               np.zeros((G, P, M, self.in_width)), np.zeros((G, P, M)))
+            T, t = np.zeros((G, P, R, self.in_width)), np.zeros((G, P, R))
+            valid, order = np.zeros((G, P), dtype=bool), np.zeros(self.out_width, dtype=int)
+            rows, cols, distinct = np.full((G, P, M), -1), [], []
             for g, (fixed, pieces) in enumerate(groups):
-                table.order[list(fixed)] = g * R + np.arange(len(fixed))
-                table.valid[g, :len(pieces)] = True
-                for p, (C, c, T, t) in enumerate(pieces):
-                    table.C[g, p, :len(C)] = C
-                    table.c[g, p, :len(C)] = c
-                    table.T[g, p, :len(fixed)] = T
-                    table.t[g, p, :len(fixed)] = t
+                Cs, cs, Ts, ts = zip(*pieces)
+                order[list(fixed)] = g * R + np.arange(len(fixed))
+                valid[g, :len(pieces)] = True
+                T[g, :len(pieces), :len(fixed)], t[g, :len(pieces), :len(fixed)] = Ts, ts
+                raw = np.concatenate(Cs)
+                cols.append(np.flatnonzero((raw != 0).any(axis=0)))
+                raw = np.column_stack([raw[:, cols[g]], np.concatenate(cs)])
+                first = {}  # distinct by exact bytes, so that every piece keeps its raw rows
+                index = np.array([first.setdefault(r.tobytes(), len(first)) for r in raw], dtype=int)
+                for p, k in enumerate(np.split(index, np.cumsum([len(C) for C in Cs])[:-1])):
+                    rows[g, p, :len(k)] = k
+                distinct.append(np.array([np.frombuffer(r) for r in first]).reshape(-1, raw.shape[1]))
+            K, S = max(map(len, distinct)), max(1, max(map(len, cols)))
+            A, a = np.zeros((G, K, S)), np.zeros((G, K))
+            for g, rows_g in enumerate(distinct):
+                A[g, :len(rows_g), :len(cols[g])] = rows_g[:, :-1]
+                a[g, :len(rows_g)] = rows_g[:, -1]
+                cols[g] = np.append(cols[g], [self.in_width] * (S - len(cols[g])))
+            need = np.packbits((rows[..., None] == np.arange(K)).any(axis=2), axis=2)
+            table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), A, a, rows,
+                               np.moveaxis(need, 2, 0).copy())
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table
@@ -148,11 +183,8 @@ class PwlActivation:
         at z within boundary_tol."""
         z = self._check_input(z)
         table = self.piece_table()
-        lhs = table.C @ z
-        holds = table.valid & (lhs <= table.c).all(axis=2)
-        near = table.valid & (lhs <= table.c + boundary_tol).all(axis=2)
-        g = np.arange(len(holds))
-        p = holds.argmax(axis=1)
+        holds, near = table.holding(z, boundary_tol)
+        g, p = np.arange(len(holds)), holds.argmax(axis=1)
         T = table.T[g, p].reshape(-1, self.in_width)[table.order]
         t = table.t[g, p].reshape(-1)[table.order]
         return T, t, bool((near.sum(axis=1) > 1).any())

@@ -169,8 +169,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     children = []
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):
-        piece = Polyhedron(table.C[g, p], table.c[g, p], dim=act.in_width)
-        reg = stack(sub.region, affine_preimage(piece, sub.prefix.J, sub.prefix.b))
+        reg = stack(sub.region, affine_preimage(table.region(g, p), sub.prefix.J, sub.prefix.b))
         lp = region_lp(reg)  # its phase 1 is the feasibility test and serves ffilter
         if not lp.feasible:
             continue

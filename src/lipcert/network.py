@@ -7,6 +7,7 @@ the alternation invariant holds internally.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,10 +180,10 @@ def _finite_array(values, layer: int, name: str) -> np.ndarray:
 
 
 def _integer(value, name: str) -> int:
-    # a JSON integer only: int() would truncate 2.9 to 2 and read true as 1
-    if isinstance(value, bool) or not isinstance(value, int):
+    # an integer only: int() would truncate 2.9 to 2 and read true as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _load_affine(entry: dict, layer: int) -> AffineLayer:
@@ -231,7 +232,8 @@ def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
             return act_mod.maxmin(width)
         if kind == "maxpool":
             windows = entry["windows"]
-            if not isinstance(windows, list) or not all(isinstance(w, list) for w in windows):
+            if not isinstance(windows, (list, tuple)) or not all(
+                    isinstance(w, (list, tuple)) for w in windows):
                 raise ValueError("windows must be a list of index lists")
             return act_mod.MaxPoolActivation(
                 width, [[_integer(i, "a window index") for i in w] for w in windows])

@@ -11,6 +11,7 @@ from lipcert import (
     IdentityActivation,
     MaxPoolActivation,
     NormPair,
+    PwlActivation,
     fullsort,
     groupsort,
     leaky_relu,
@@ -281,14 +282,17 @@ def test_local_linearization_consistent(act):
                                            atol=1e-9)
 
 
+@pytest.mark.parametrize("table_path", [False, True], ids=["class", "table"])
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
-def test_local_linearization_lowest_piece_on_ties(act):
+def test_local_linearization_lowest_piece_on_ties(act, table_path):
     # integer points tie coordinates with each other and sit on the knots
-    # (-1, 0, 1), so several pieces of a group often hold at once
+    # (-1, 0, 1), so several pieces of a group often hold at once; the table
+    # path is the base class's, which componentwise layers override
+    linearize = PwlActivation.local_linearization if table_path else type(act).local_linearization
     tol = 1e-9
     for x in itertools.product(range(-2, 3), repeat=act.in_width):
         x = np.array(x, dtype=float)
-        T, t, flagged = act.local_linearization(x, tol)
+        T, t, flagged = linearize(act, x, tol)
         second = False
         for fixed, pieces in act.branch_groups():
             holding = [np_ for np_ in pieces if np_.region.contains(x, tol=0.0)]
@@ -296,6 +300,30 @@ def test_local_linearization_lowest_piece_on_ties(act):
             np.testing.assert_array_equal(t[list(fixed)], holding[0].piece.t)
             second |= sum(np_.region.contains(x, tol=tol) for np_ in pieces) > 1
         assert flagged == second, x
+
+
+def test_fullsort_seven_lowest_piece_is_stable_argsort():
+    # 5040 pieces: the lexicographically first sorting permutation is the
+    # stable argsort, and a tie is the only way a second piece holds
+    act = fullsort(7)
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = rng.integers(0, 4, size=7).astype(float)
+        T, t, flagged = act.local_linearization(x)
+        np.testing.assert_array_equal(T, np.eye(7)[np.argsort(x, kind="stable")])
+        assert not t.any()
+        assert flagged == (len(set(x)) < 7)
+
+
+@pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
+def test_piece_table_regions_match_branch_groups(act):
+    # branch builds regions from the table; they must carry the same bits
+    table = act.piece_table()
+    for g, (_, pieces) in enumerate(act.branch_groups()):
+        for p, np_ in enumerate(pieces):
+            region = table.region(g, p)
+            np.testing.assert_array_equal(region.C, np_.region.C)
+            np.testing.assert_array_equal(region.c, np_.region.c)
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))

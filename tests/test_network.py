@@ -177,6 +177,17 @@ def test_model_rejections():
             network_from_json(data)
 
 
+def test_model_integer_fields_accept_any_integer_type():
+    # a Python caller may pass tuple windows and numpy integers
+    pair = {"type": "affine", "W": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}
+    net = network_from_json({"layers": [
+        pair, {"type": "maxpool", "windows": ((0, np.int64(1)), (2,))}]})
+    assert net.activations[0].windows == [(0, 1), (2,)]
+    assert all(type(i) is int for w in net.activations[0].windows for i in w)
+    net = network_from_json({"layers": [pair, {"type": "groupsort", "group_size": np.int64(2)}]})
+    assert net.activations[0].group_size == 2 and type(net.activations[0].group_size) is int
+
+
 def test_model_nan_error_mentions_layer():
     with pytest.raises(ModelFormatError, match="layer 1"):
         network_from_json({"layers": [{"type": "affine", "W": [[1.0]], "b": [np.inf]}]})
