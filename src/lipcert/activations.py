@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,6 +23,13 @@ import numpy as np
 from .polyhedra import Polyhedron
 
 MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
+
+
+def _integer(value, name: str) -> int:
+    # an integer only: int() would truncate 2.9 to 2 and read True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -101,10 +109,12 @@ class PwlActivation:
     kind = "pwl"
 
     def __init__(self, in_width: int, out_width: int):
+        in_width = _integer(in_width, "activation width")
+        out_width = _integer(out_width, "activation width")
         if in_width <= 0 or out_width <= 0:
             raise ValueError("activation width must be positive")
-        self.in_width = int(in_width)
-        self.out_width = int(out_width)
+        self.in_width = in_width
+        self.out_width = out_width
 
     def group_pieces(self):
         """[(fixed_neurons, [(C, c, T, t), ...]), ...] per branch group, in
@@ -328,7 +338,7 @@ class GroupSortActivation(PwlActivation):
 
     def __init__(self, width, group_size, kind="groupsort"):
         super().__init__(width, width)
-        group_size = int(group_size)
+        group_size = _integer(group_size, "group size")
         if group_size < 1:
             raise ValueError("group size must be at least 1")
         if group_size > MAX_GROUP_SIZE:
@@ -392,7 +402,7 @@ class MaxPoolActivation(PwlActivation):
         cleaned = []
         seen = set()
         for w, win in enumerate(windows):
-            win = tuple(int(i) for i in win)
+            win = tuple(_integer(i, "a window index") for i in win)
             if not win:
                 raise ValueError(f"window {w} is empty")
             for i in win:

@@ -9,7 +9,9 @@ tail; the tail's interval Jacobian gives the subproblem's upper bound.
 Branching keeps one piece of the first star neuron's group, pulls the
 piece's constraints back to input space, and re-filters deeper layers.
 Subproblems without stars are linear on their region, so their bound is
-exact and feeds the global lower bound.
+exact and feeds the global lower bound. A region keeps its LP
+(`polyhedra.region_lp`), so a child's feasibility test and its re-filtering
+share one phase 1.
 """
 from __future__ import annotations
 
@@ -26,10 +28,10 @@ from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverE
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul  # noqa: F401
 from .network import LinearPrefix, Network
 from .norms import NormPair, induced_norm
-from .polyhedra import Polyhedron, affine_preimage, is_feasible, region_lp, stack
+from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
 from . import simplex
-from .simplex import RegionLP, solve_lp
-from .symprop import InitPattern, LayerState, analyze_activation_layer, layer_state, symprop
+from .simplex import solve_lp
+from .symprop import LayerState, analyze_activation_layer, layer_state, symprop
 
 EXACT_REL_TOL = 1e-9
 ORACLE_COMBINATION_CAP = 1_000_000
@@ -111,7 +113,7 @@ def upper_bound(sub: Subproblem, net: Network, pair: NormPair) -> float:
     return induced_norm(abs_upper_envelope(interval_jacobian(sub, net)), pair)
 
 
-def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subproblem:
+def ffilter(sub: Subproblem, net: Network) -> Subproblem:
     """Re-filter pieces from the first star layer on; fold newly decided layers.
 
     Each layer is re-analysed with its state as the record, so only the
@@ -119,7 +121,7 @@ def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subpro
     whose neurons all turn out decided are absorbed into the linear prefix
     and the first star layer advances past them. The scan stops at the
     first layer that keeps a star neuron; deeper layers keep their recorded
-    state. `lp` is `region_lp(sub.region)` when the caller already has it.
+    state.
     """
     l = sub.first_star_layer
     L = net.depth
@@ -129,10 +131,8 @@ def ffilter(sub: Subproblem, net: Network, lp: RegionLP | None = None) -> Subpro
     b = sub.prefix.b
     layers = list(sub.layers)
     while l <= L:
-        if lp is None and layers[l - 1].stars:
-            lp = region_lp(sub.region)
         state = analyze_activation_layer(net.activations[l - 1], sub.region, J, b,
-                                         record=layers[l - 1], lp=lp)
+                                         record=layers[l - 1])
         layers[l - 1] = state
         if state.stars:
             break
@@ -170,14 +170,13 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):
         reg = stack(sub.region, affine_preimage(table.region(g, p), sub.prefix.J, sub.prefix.b))
-        lp = region_lp(reg)  # its phase 1 is the feasibility test and serves ffilter
-        if not lp.feasible:
+        if not is_feasible(reg):
             continue
         pieces = state.pieces.copy()
         pieces[g] = np.arange(pieces.shape[1]) == p
         layers = sub.layers[: lt - 1] + (layer_state(act, pieces),) + sub.layers[lt:]
         child = Subproblem(reg, layers, lt, sub.prefix, uid=next(uid_counter))
-        child = ffilter(child, net, lp)
+        child = ffilter(child, net)
         child = replace(child, ub=upper_bound(child, net, pair))
         if child.first_star_layer == L + 1:
             new_glb = max(new_glb, child.ub)
@@ -185,11 +184,9 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     return children, new_glb
 
 
-def initial_subproblem(net: Network, omega: Polyhedron,
-                       pattern: InitPattern | None = None) -> Subproblem:
+def initial_subproblem(net: Network, omega: Polyhedron) -> Subproblem:
     """Root node: the symbolic pass's layer states and folded prefix."""
-    if pattern is None:
-        pattern = symprop(net, omega)
+    pattern = symprop(net, omega)
     return Subproblem(omega, pattern.layers, pattern.first_star_layer, pattern.prefix)
 
 

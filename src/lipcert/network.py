@@ -7,7 +7,6 @@ the alternation invariant holds internally.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,13 +178,6 @@ def _finite_array(values, layer: int, name: str) -> np.ndarray:
     return arr
 
 
-def _integer(value, name: str) -> int:
-    # an integer only: int() would truncate 2.9 to 2 and read true as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _load_affine(entry: dict, layer: int) -> AffineLayer:
     extra = set(entry) - {"type", "W", "b"}
     if extra:
@@ -225,7 +217,7 @@ def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
                 _finite_array(entry["intercepts"], layer, "intercepts"),
             )
         if kind == "groupsort":
-            return act_mod.groupsort(width, _integer(entry["group_size"], "group_size"))
+            return act_mod.groupsort(width, entry["group_size"])
         if kind == "fullsort":
             return act_mod.fullsort(width)
         if kind == "maxmin":
@@ -235,10 +227,11 @@ def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
             if not isinstance(windows, (list, tuple)) or not all(
                     isinstance(w, (list, tuple)) for w in windows):
                 raise ValueError("windows must be a list of index lists")
-            return act_mod.MaxPoolActivation(
-                width, [[_integer(i, "a window index") for i in w] for w in windows])
+            return act_mod.MaxPoolActivation(width, windows)
         if kind == "identity":
             return IdentityActivation(width)
+    except ModelFormatError:
+        raise  # already names the layer
     except ValueError as err:
         raise ModelFormatError(f"layer {layer}: {err}") from err
     raise ModelFormatError(f"layer {layer}: unknown activation kind {kind!r}")

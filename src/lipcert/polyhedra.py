@@ -19,10 +19,11 @@ class Polyhedron:
     duplicates are dropped, which keeps repeatedly stacked systems from
     accumulating copies of the same constraint. Rows that reduce to
     0.x <= c with c >= 0 are vacuous and removed; with c < 0 they are kept
-    and encode infeasibility (the LP detects it).
+    and encode infeasibility (the LP detects it). The region's LP is built on
+    first use by `region_lp` and kept with it.
     """
 
-    __slots__ = ("C", "c", "dim")
+    __slots__ = ("C", "c", "dim", "_lp")
 
     def __init__(self, C, c, dim: int | None = None):
         C = np.asarray(C, dtype=float)
@@ -70,6 +71,7 @@ class Polyhedron:
         self.C = C
         self.c = c
         self.dim = int(dim)
+        self._lp = None
 
     @property
     def m(self) -> int:
@@ -133,19 +135,20 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
 
 
 def region_lp(P: Polyhedron) -> simplex.RegionLP:
-    """The LPs of P: phase 1 now, then one phase 2 per objective asked of it."""
-    return simplex.RegionLP(P.C, P.c)
+    """The LPs of P: phase 1 on the first call, then one phase 2 per objective
+    asked of it. Every later call returns the same object."""
+    if P._lp is None:
+        P._lp = simplex.RegionLP(P.C, P.c)
+    return P._lp
 
 
 def feasible_point(P: Polyhedron) -> np.ndarray | None:
     """A point of P (within the LP feasibility slack), or None if P is empty."""
-    return simplex.feasible_point(P.C, P.c)
+    return region_lp(P).point()
 
 
 def is_feasible(P: Polyhedron) -> bool:
-    if P.m == 0:
-        return True
-    return feasible_point(P) is not None
+    return region_lp(P).feasible
 
 
 def _objective(P: Polyhedron, objective) -> np.ndarray:

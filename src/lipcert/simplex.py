@@ -10,8 +10,9 @@ pre-activation, every row of a piece-containment test. `RegionLP` therefore
 builds the tableau of a region and runs phase 1 once, saves the feasible basis
 it reaches, and answers each objective with phase 2 alone, started from a copy
 of that saved basis. Every answer is thus independent of the order in which
-the objectives are asked. `solve_lp` and `feasible_point` are the one-query
-uses of the same object, so tableau setup exists in one place.
+the objectives are asked. `polyhedra.region_lp` keeps one per region, so every
+query of a region shares its phase 1. `solve_lp` and `feasible_point` are the
+one-query uses of the same object, so tableau setup exists in one place.
 """
 from __future__ import annotations
 
@@ -114,12 +115,11 @@ class RegionLP:
 
     `feasible` is settled at construction. The first objective drives the
     remaining artificial variables out of the phase-1 basis and drops their
-    columns; the resulting tableau is saved. Each objective then runs phase 2
-    on a copy of it kept in one preallocated work buffer.
+    columns; the resulting tableau replaces the phase-1 one. Each objective
+    then runs phase 2 on a copy of it.
     """
 
-    __slots__ = ("dim", "feasible", "_T", "_basis", "_first_art", "_budget",
-                 "_point", "_work")
+    __slots__ = ("dim", "feasible", "_T", "_basis", "_first_art", "_budget", "_point")
 
     def __init__(self, A, b):
         A = np.asarray(A, dtype=float)
@@ -140,7 +140,6 @@ class RegionLP:
         self._first_art = first_art
         self._budget = _MAX_PIVOTS - used
         self._point = _basic_point(T, basis, self.dim) if self.feasible else None
-        self._work = None
 
     def point(self) -> np.ndarray | None:
         """The basic point phase 1 ends at (within FEAS_TOL), or None if empty."""
@@ -157,7 +156,6 @@ class RegionLP:
             basis[r] = j
         # artificial columns may never re-enter phase 2
         self._T = np.delete(T, np.s_[first_art:-1], axis=1)
-        self._work = np.empty_like(self._T)
 
     def minimize(self, cost) -> LpResult:
         """min cost.x over the region, from the saved post-phase-1 basis."""
@@ -166,11 +164,10 @@ class RegionLP:
             raise ValueError("cost length does not match the variable count")
         if not self.feasible:
             return LpResult("infeasible", None, float("inf"))
-        if self._work is None:
+        if self._T.shape[1] > self._first_art + 1:  # still the phase-1 tableau
             self._start_phase2()
         d = self.dim
-        T = self._work
-        np.copyto(T, self._T)
+        T = self._T.copy()
         basis = self._basis.copy()
         obj = np.zeros(T.shape[1])
         obj[:d] = cost

@@ -17,10 +17,11 @@ auxiliary variable constrained only by the box hull of the per-piece output
 ranges, which keeps the reachable-set overapproximation sound for all later
 layers.
 
-Each layer's LPs run on one `RegionLP` per region, so phase 1 runs once for
-all of its neurons. Re-analysis over a sub-region (branch-and-bound's
-re-filtering) passes the layer's state over a superset as the record, and
-re-examines only the groups holding a star, on the pieces they kept there.
+Every LP over a region is asked of `region_lp(region)`, which the region
+keeps, so phase 1 runs once per region for all of its layers and neurons.
+Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
+layer's state over a superset as the record, and re-examines only the groups
+holding a star, on the pieces they kept there.
 """
 from __future__ import annotations
 
@@ -32,9 +33,8 @@ from .activations import ComponentwiseActivation, IdentityActivation, PwlActivat
 from .exceptions import InfeasibleRegionError, LpSolverError
 from .intervals import IntervalMatrix
 from .network import LinearPrefix, Network
-# is_feasible, linear_bounds and support_value are not called here; they stay
-# importable from this module because perfbench/layertrace.py rebinds them
-# here by name.
+# linear_bounds and support_value are not called here; they stay importable
+# from this module because perfbench/layertrace.py rebinds them here by name.
 from .polyhedra import (  # noqa: F401
     FEAS_TOL,
     Polyhedron,
@@ -45,7 +45,6 @@ from .polyhedra import (  # noqa: F401
     stack,
     support_value,
 )
-from .simplex import RegionLP
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
@@ -111,11 +110,12 @@ def _spline_image(slope: float, intercept: float, lo: float, hi: float):
     return (a, b) if slope > 0.0 else (b, a)
 
 
-def _analyze_componentwise(act: ComponentwiseActivation, lp, J, b, todo, pieces):
+def _analyze_componentwise(act: ComponentwiseActivation, region, J, b, todo, pieces):
     """Keep, for each neuron in `todo`, its containing piece or else every
     feasible one; returns the pre-activation ranges (lo, hi), set at `todo`."""
     todo = np.asarray(todo)
     lo, hi = np.zeros(act.out_width), np.zeros(act.out_width)
+    lp = region_lp(region)
     for n in todo:
         lo[n], hi[n] = lp.bounds(J[n])
     lo += b
@@ -147,9 +147,9 @@ def _componentwise_aux(act: ComponentwiseActivation, state: LayerState, lo, hi, 
         aux[n] = (out_lo, out_hi)
 
 
-def _piece_contains(lp, piece_region, J, b) -> bool:
-    """Does {J x + b : x in region} lie inside the piece region? `lp` holds the
-    region's LPs."""
+def _piece_contains(region, piece_region, J, b) -> bool:
+    """Does {J x + b : x in region} lie inside the piece region?"""
+    lp = region_lp(region)
     for r in range(piece_region.m):
         row = piece_region.C[r]
         hi = lp.support(row @ J)
@@ -158,24 +158,24 @@ def _piece_contains(lp, piece_region, J, b) -> bool:
     return True
 
 
-def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
+def _analyze_generic(act: PwlActivation, region, J, b, todo, pieces, aux):
     """Keep, for each group in `todo`, its first containing piece or else every
     feasible one, testing only the pieces it keeps now."""
     groups = act.branch_groups()
     table = act.piece_table()
     for g in todo:
         fixed, group_pieces = groups[g]
-        # one LP object per feasible piece region, kept only while the group
-        # is open and only when the star outputs need its bounds
+        # each feasible piece region, with the LP it keeps, is held only while
+        # the group is open and only when the star outputs need its bounds
         feas = []
         containing = -1
         for p in np.flatnonzero(pieces[g]):
             np_piece = group_pieces[p]
-            piece_lp = region_lp(stack(region, affine_preimage(np_piece.region, J, b)))
-            if not piece_lp.feasible:
+            piece_region = stack(region, affine_preimage(np_piece.region, J, b))
+            if not is_feasible(piece_region):
                 continue
-            feas.append((p, piece_lp if aux is not None else None))
-            if _piece_contains(lp, np_piece.region, J, b):
+            feas.append((p, piece_region if aux is not None else None))
+            if _piece_contains(region, np_piece.region, J, b):
                 containing = p
                 break
         if not feas:
@@ -191,10 +191,10 @@ def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
         for rpos in np.flatnonzero(star[0]):
             out_lo = float("inf")
             out_hi = float("-inf")
-            for p, piece_lp in feas:
+            for p, piece_region in feas:
                 piece = group_pieces[p].piece
                 const = float(piece.T[rpos] @ b + piece.t[rpos])
-                plo, phi = piece_lp.bounds(piece.T[rpos] @ J)
+                plo, phi = region_lp(piece_region).bounds(piece.T[rpos] @ J)
                 out_lo = min(out_lo, plo + const)
                 out_hi = max(out_hi, phi + const)
             aux[fixed[rpos]] = (out_lo, out_hi)
@@ -202,7 +202,7 @@ def _analyze_generic(act: PwlActivation, region, lp, J, b, todo, pieces, aux):
 
 def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
                              record: LayerState | None = None,
-                             lp: RegionLP | None = None, aux: dict | None = None) -> LayerState:
+                             aux: dict | None = None) -> LayerState:
     """Decide which pieces each group of one activation layer keeps over
     {J x + b : x in region}.
 
@@ -210,8 +210,7 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
     With it, only the groups holding a star are re-analysed, each on the
     pieces it kept there, and every other group keeps its recorded pieces: a
     piece infeasible over a set is infeasible over each of its subsets, and a
-    piece containing a set contains each of its subsets. `lp` is
-    `region_lp(region)` when the caller already has it. Given a dict as
+    piece containing a set contains each of its subsets. Given a dict as
     `aux`, the output range (lo, hi) of each star neuron n goes to `aux[n]`.
     """
     J = np.asarray(J, dtype=float)
@@ -226,46 +225,30 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
         todo = () if isinstance(act, IdentityActivation) else range(len(pieces))
     if not todo:
         return record if record is not None else layer_state(act, pieces)
-    if lp is None:
-        lp = region_lp(region)
     pieces = pieces.copy()
     if isinstance(act, ComponentwiseActivation):
-        lo, hi = _analyze_componentwise(act, lp, J, b, todo, pieces)
+        lo, hi = _analyze_componentwise(act, region, J, b, todo, pieces)
         state = layer_state(act, pieces)
         if aux is not None:
             _componentwise_aux(act, state, lo, hi, aux)
         return state
-    _analyze_generic(act, region, lp, J, b, todo, pieces, aux)
+    _analyze_generic(act, region, J, b, todo, pieces, aux)
     return layer_state(act, pieces)
 
 
 def _extend_domain(dom: Polyhedron, bounds) -> Polyhedron:
     """Append one box-bounded variable per (lo, hi) pair; infinite sides add no row."""
-    k = len(bounds)
-    d = dom.dim
-    C = np.hstack([dom.C, np.zeros((dom.m, k))])
-    rows = [C]
-    offs = [dom.c]
-    for i, (lo, hi) in enumerate(bounds):
-        if np.isfinite(hi):
-            e = np.zeros(d + k)
-            e[d + i] = 1.0
-            rows.append(e[None, :])
-            offs.append([hi])
-        if np.isfinite(lo):
-            e = np.zeros(d + k)
-            e[d + i] = -1.0
-            rows.append(e[None, :])
-            offs.append([-lo])
-    return Polyhedron(np.vstack(rows), np.concatenate([np.asarray(o, dtype=float) for o in offs]),
-                      dim=d + k)
+    lo, hi = np.array(bounds, dtype=float).T
+    box = Polyhedron.from_box(lo, hi)
+    C = np.block([[dom.C, np.zeros((dom.m, box.dim))],
+                  [np.zeros((box.m, dom.dim)), box.C]])
+    return Polyhedron(C, np.concatenate([dom.c, box.c]), dim=dom.dim + box.dim)
 
 
 def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
     if omega.dim != net.input_dim:
         raise ValueError(f"region dimension {omega.dim} does not match input {net.input_dim}")
-    lp = region_lp(omega)  # serves every layer until the domain grows
-    if not lp.feasible:
+    if not is_feasible(omega):
         raise InfeasibleRegionError("input region is empty")
     dom = omega
     B = net.affine[0].W.copy()
@@ -275,10 +258,8 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
     trace = [] if collect_trace else None
     for l in range(1, net.depth + 1):
         act = net.activations[l - 1]
-        if lp is None and not isinstance(act, IdentityActivation):
-            lp = region_lp(dom)
         aux = {}
-        state = analyze_activation_layer(act, dom, B, bb, lp=lp, aux=aux)
+        state = analyze_activation_layer(act, dom, B, bb, aux=aux)
         layers.append(state)
         if state.stars and prefix is None:
             # no star before this layer, so (B, bb) is the exactly folded map
@@ -298,7 +279,6 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
             })
         if n_star:
             dom = _extend_domain(dom, [aux[n] for n in state.stars])
-            lp = None
         if l < net.depth:
             aff = net.affine[l]
             B = aff.W @ Bhat

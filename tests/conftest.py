@@ -4,9 +4,10 @@ import os
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lipcert as lc
-from lipcert import polyhedra
+from lipcert import polyhedra, simplex
 
 # filled by test_acceptance.py; printed after the run, one line per criterion
 ACCEPTANCE_RESULTS = {}
@@ -20,6 +21,20 @@ def pytest_terminal_summary(terminalreporter):
         name, ok = ACCEPTANCE_RESULTS[num]
         verdict = "PASS" if ok else "FAIL"
         terminalreporter.write_line(f"criterion {num} ({name}): {verdict}")
+
+
+@pytest.fixture
+def region_lps(monkeypatch):
+    """The (A, b) arguments of every `simplex.RegionLP` built during the test."""
+    built = []
+    init = simplex.RegionLP.__init__
+
+    def counting_init(self, A, b):
+        built.append((A, b))
+        init(self, A, b)
+
+    monkeypatch.setattr(simplex.RegionLP, "__init__", counting_init)
+    return built
 
 
 def make_abs_net() -> lc.Network:

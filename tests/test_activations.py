@@ -217,6 +217,24 @@ def test_maxpool_multi_window():
     assert group_ids(act) == [(0,), (1,)]
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MaxPoolActivation(2, [(0.7, 1)]),
+    lambda: MaxPoolActivation(2, [(True, 1)]),
+    lambda: MaxPoolActivation(4.5, [(0, 1)]),
+    lambda: groupsort(4, 2.9),
+    lambda: groupsort(4, 2.0),
+    lambda: groupsort(4, True),
+    lambda: IdentityActivation(2.5),
+    lambda: relu(3.0),
+    lambda: fullsort(True),
+], ids=["window-fraction", "window-bool", "maxpool-width", "group-fraction",
+        "group-float", "group-bool", "identity-width", "relu-width", "fullsort-bool"])
+def test_constructors_reject_non_integer_arguments(make):
+    # int() would truncate these silently and change the network
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 # identity
 
 def test_identity():

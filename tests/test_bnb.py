@@ -278,6 +278,15 @@ def test_solve_seeding_shrinks_peak_heap():
     assert seeded.gub == pytest.approx(plain.gub, abs=1e-9)
 
 
+def test_solve_with_samples_builds_one_lp_on_omega(region_lps):
+    # the symbolic pass, the sampler's feasibility test and its bounding box
+    # all ask the LP that omega keeps
+    omega = unit_box(1)
+    res = solve(make_abs_net(), omega, SolverConfig(sample_count=20))
+    assert res.status == "exact"
+    assert sum(A is omega.C for A, _ in region_lps) == 1
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(theta=0.5)

@@ -189,8 +189,15 @@ def test_model_integer_fields_accept_any_integer_type():
 
 
 def test_model_nan_error_mentions_layer():
-    with pytest.raises(ModelFormatError, match="layer 1"):
-        network_from_json({"layers": [{"type": "affine", "W": [[1.0]], "b": [np.inf]}]})
+    cases = [
+        ({"layers": [{"type": "affine", "W": [[1.0]], "b": [np.inf]}]}, "layer 1"),
+        ({"layers": [{"type": "affine", "W": [[1.0], [2.0]]},
+                     {"type": "prelu", "slopes": [np.nan, 1]}]}, "layer 2"),
+    ]
+    for data, layer in cases:
+        with pytest.raises(ModelFormatError, match=layer) as err:
+            network_from_json(data)
+        assert str(err.value).count(layer) == 1
 
 
 def test_load_model_bad_json(tmp_path):

@@ -16,7 +16,8 @@ from lipcert import (
     region_from_json,
     stack,
 )
-from lipcert.polyhedra import feasible_point, support_value
+from lipcert import simplex
+from lipcert.polyhedra import feasible_point, region_lp, support_value
 
 
 def test_row_normalization_and_dedup():
@@ -211,3 +212,54 @@ def test_load_region_roundtrip(tmp_path):
     p.write_text(json.dumps({"box": {"lower": [-2.0], "upper": [2.0]}}))
     R = lc.load_region(str(p))
     assert R.contains([1.5]) and not R.contains([2.5])
+
+
+# one LP per region: every query of a region shares its phase 1
+
+def test_queries_of_one_region_build_one_lp(region_lps):
+    P = Polyhedron([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+    assert is_feasible(P)
+    assert P.contains(feasible_point(P))
+    assert linear_bounds(P, [1.0, 2.0]) == pytest.approx((0.0, 2.0))
+    assert support_value(P, [1.0, -1.0]) == pytest.approx(1.0)
+    lo, hi = coordinate_bounds(P)
+    np.testing.assert_allclose(lo, [0.0, 0.0])
+    np.testing.assert_allclose(hi, [1.0, 1.0])
+    assert len(region_lps) == 1
+
+
+def test_kept_lp_answers_like_a_fresh_one():
+    # the kept LP serves every query in any order, bit for bit as a new one would
+    rng = np.random.default_rng(23)
+
+    def answers(kind, lp, cost):
+        if kind == "minimize":
+            res = lp.minimize(cost)
+            return res.status, float(res.value).hex(), None if res.x is None else res.x.tobytes()
+        if kind == "bounds":
+            return tuple(float(v).hex() for v in lp.bounds(cost))
+        if kind == "support":
+            return float(lp.support(cost)).hex()
+        return lp.point().tobytes()
+
+    for _ in range(40):
+        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        C = rng.normal(size=(m, d))
+        P = Polyhedron(C, C @ rng.normal(size=d) + rng.uniform(-0.5, 1.0, size=m))
+        kept = region_lp(P)
+        assert region_lp(P) is kept
+        for _ in range(15):
+            kind = ["minimize", "bounds", "support", "point"][int(rng.integers(4))]
+            cost = rng.normal(size=d)
+            fresh = simplex.RegionLP(P.C, P.c)
+            if not fresh.feasible:
+                assert not is_feasible(P) and feasible_point(P) is None
+                assert kept.minimize(cost).status == "infeasible"
+                continue
+            assert answers(kind, kept, cost) == answers(kind, fresh, cost)
+        if kept.feasible:
+            lo, hi = coordinate_bounds(P)
+            for i, e in enumerate(np.eye(d)):
+                want = simplex.RegionLP(P.C, P.c).bounds(e)
+                assert (lo[i].hex(), hi[i].hex()) == tuple(v.hex() for v in want)
+        assert region_lp(P) is kept
