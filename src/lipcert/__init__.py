@@ -62,7 +62,6 @@ from .symprop import (
     InitPattern,
     LayerState,
     analyze_activation_layer,
-    layer_state,
     symprop,
     symprop_trace,
 )
@@ -111,7 +110,6 @@ __all__ = [
     "interval_jacobian",
     "interval_matmul",
     "is_feasible",
-    "layer_state",
     "layerwise_bound",
     "leaky_relu",
     "linear_bounds",

@@ -4,9 +4,9 @@ Every activation states its pieces once, in `group_pieces`: per branch group
 (neurons whose outputs are fixed together), a finite list of closed polyhedra
 `C z <= c` covering the layer's input space, and on each the group's affine
 map `T z + t`. The base class derives every other view from that list and
-keeps it: `branch_groups` (`NeuronPiece` objects for the generic analysis and
-the oracle), `neuron_decomposition`, `piece_table` (padded arrays for the
-vectorised analysis and branching) and the point linearisation. The piece
+keeps it: `branch_groups` (`NeuronPiece` objects for the oracle),
+`neuron_decomposition`, `piece_table` (padded arrays for the analysis of
+every activation and for branching) and the point linearisation. The piece
 list order is part of the deterministic contract: ties are always resolved
 toward the lowest piece index.
 """
@@ -14,22 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from .exceptions import _integer
 from .polyhedra import Polyhedron
 
 MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
-
-
-def _integer(value, name: str) -> int:
-    # an integer only: int() would truncate 2.9 to 2 and read True as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,13 @@ class PieceTable(NamedTuple):
     (padded with the column `in_width`, which reads 0): the k-th distinct
     row is `A[g, k] z[cols[g]] <= a[g, k]`. Piece p's raw rows are the rows
     `rows[g, p]` in order (padded with -1); `need[:, g, p]` packs the same
-    set as bits, for the containment test of `holding`.
+    set as bits, for the containment tests of `all_rows`. Normalised to unit
+    length, as `Polyhedron` stores it, the k-th row is
+    `D[dir[g, k]] z <= off[g, k]`. `D` holds each row direction of the table
+    once, with its first non-zero entry positive, followed by the same
+    directions negated: for n = len(D) // 2, `D[j + n] = -D[j]`. So the
+    sup of a row over a set is the sup of its direction or minus the inf,
+    and one pair of LPs per direction decides every row along it.
     """
 
     T: np.ndarray
@@ -86,6 +85,9 @@ class PieceTable(NamedTuple):
     a: np.ndarray
     rows: np.ndarray
     need: np.ndarray
+    D: np.ndarray
+    dir: np.ndarray
+    off: np.ndarray
 
     def region(self, g: int, p: int) -> Polyhedron:
         """Piece p of group g's region, from the same raw rows as the piece."""
@@ -94,13 +96,18 @@ class PieceTable(NamedTuple):
         C[:, self.cols[g]] = self.A[g, k]
         return Polyhedron(C[:, :-1], self.a[g, k], dim=self.T.shape[3])
 
+    def all_rows(self, ok: np.ndarray) -> np.ndarray:
+        """(2, groups, pieces) masks of the valid pieces all of whose rows
+        are marked in `ok`, two (groups, rows) masks stacked."""
+        bits = np.packbits(ok, axis=2).transpose(2, 0, 1)[..., None]
+        # a piece passes when none of the rows it needs is missing from ok
+        return self.valid & ~(self.need[:, None] & ~bits).any(axis=0)
+
     def holding(self, z: np.ndarray, tol: float) -> np.ndarray:
         """(2, groups, pieces) masks of the pieces whose rows hold at z:
         exactly, and within tol."""
         lhs = np.matmul(self.A, np.append(z, 0.0)[self.cols][:, :, None])[:, :, 0]
-        ok = np.packbits(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1), axis=2)
-        # a piece holds when none of the rows it needs is missing from ok
-        return self.valid & ~(self.need[:, None] & ~ok.transpose(2, 0, 1)[..., None]).any(axis=0)
+        return self.all_rows(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1))
 
 
 class PwlActivation:
@@ -131,8 +138,8 @@ class PwlActivation:
     def branch_groups(self):
         """(fixed_neurons, pieces) per group, the pieces as `NeuronPiece`s.
 
-        Built on the first call and kept: the pieces are immutable, and every
-        analysis of the layer asks for them again.
+        Built on the first call and kept: the pieces are immutable, and the
+        oracle asks for them at every node of its enumeration.
         """
         groups = self.__dict__.get("_branch_groups")
         if groups is None:
@@ -175,13 +182,23 @@ class PwlActivation:
                 distinct.append(np.array([np.frombuffer(r) for r in first]).reshape(-1, raw.shape[1]))
             K, S = max(map(len, distinct)), max(1, max(map(len, cols)))
             A, a = np.zeros((G, K, S)), np.zeros((G, K))
+            units, dir_, off = {}, np.zeros((G, K), dtype=int), np.zeros((G, K))
             for g, rows_g in enumerate(distinct):
                 A[g, :len(rows_g), :len(cols[g])] = rows_g[:, :-1]
                 a[g, :len(rows_g)] = rows_g[:, -1]
+                norm = np.linalg.norm(rows_g[:, :-1], axis=1)
+                off[g, :len(rows_g)] = rows_g[:, -1] / norm
+                for k, u in enumerate(rows_g[:, :-1] / norm[:, None]):
+                    unit = np.zeros(self.in_width)
+                    unit[cols[g]] = u * np.sign(u[u != 0][0])  # first non-zero entry positive
+                    j = units.setdefault((unit + 0.0).tobytes(), len(units))
+                    dir_[g, k] = j if u[u != 0][0] > 0 else ~j  # ~j: negated; n unknown yet
                 cols[g] = np.append(cols[g], [self.in_width] * (S - len(cols[g])))
             need = np.packbits((rows[..., None] == np.arange(K)).any(axis=2), axis=2)
+            D = np.array([np.frombuffer(u) for u in units]).reshape(-1, self.in_width)
             table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), A, a, rows,
-                               np.moveaxis(need, 2, 0).copy())
+                               np.moveaxis(need, 2, 0).copy(), np.concatenate([D, -D]),
+                               np.where(dir_ >= 0, dir_, ~dir_ + len(D)), off)
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table

@@ -31,7 +31,7 @@ from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
 from . import simplex
 from .simplex import solve_lp
-from .symprop import LayerState, analyze_activation_layer, layer_state, symprop
+from .symprop import LayerState, analyze_activation_layer, symprop
 
 EXACT_REL_TOL = 1e-9
 ORACLE_COMBINATION_CAP = 1_000_000
@@ -117,7 +117,7 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
     """Re-filter pieces from the first star layer on; fold newly decided layers.
 
     Each layer is re-analysed with its state as the record, so only the
-    groups holding a star are examined, on the pieces they kept. Layers
+    groups keeping several pieces are examined, on those pieces. Layers
     whose neurons all turn out decided are absorbed into the linear prefix
     and the first star layer advances past them. The scan stops at the
     first layer that keeps a star neuron; deeper layers keep their recorded
@@ -174,7 +174,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
             continue
         pieces = state.pieces.copy()
         pieces[g] = np.arange(pieces.shape[1]) == p
-        layers = sub.layers[: lt - 1] + (layer_state(act, pieces),) + sub.layers[lt:]
+        layers = sub.layers[: lt - 1] + (LayerState(act, pieces),) + sub.layers[lt:]
         child = Subproblem(reg, layers, lt, sub.prefix, uid=next(uid_counter))
         child = ffilter(child, net)
         child = replace(child, ub=upper_bound(child, net, pair))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and a shared integer check."""
+
+import numbers
 
 
 class LipcertError(Exception):
@@ -35,3 +37,10 @@ class GuardrailExceededError(LipcertError, RuntimeError):
 
 class SamplingError(LipcertError, RuntimeError):
     """Raised when rejection sampling cannot hit the target region."""
+
+
+def _integer(value, name: str, error=ValueError) -> int:
+    # an integer only: int() would truncate 2.9 to 2 and read True as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
+import numbers
 
 import numpy as np
 
 from . import simplex
-from .exceptions import ModelFormatError
+from .exceptions import ModelFormatError, _integer
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
@@ -194,16 +196,15 @@ def region_from_json(data) -> Polyhedron:
         raise ModelFormatError("region must be a JSON object")
     keys = set(data)
     if keys == {"global"}:
-        d = data["global"]
-        if not isinstance(d, int) or d <= 0:
+        d = _integer(data["global"], "'global'", ModelFormatError)
+        if d <= 0:
             raise ModelFormatError("'global' must be a positive integer dimension")
         return Polyhedron.universe(d)
     if keys == {"box"}:
         box = data["box"]
         if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
             raise ModelFormatError("'box' must hold exactly 'lower' and 'upper'")
-        lower = [float("-inf") if v is None else float(v) for v in box["lower"]]
-        upper = [float("inf") if v is None else float(v) for v in box["upper"]]
+        lower, upper = _box_side(box, "lower", -math.inf), _box_side(box, "upper", math.inf)
         if len(lower) != len(upper) or not lower:
             raise ModelFormatError("box bounds disagree on dimension")
         for lo_i, hi_i in zip(lower, upper):
@@ -211,11 +212,22 @@ def region_from_json(data) -> Polyhedron:
                 raise ModelFormatError("box has a lower bound above its upper bound")
         return Polyhedron.from_box(lower, upper)
     if keys == {"dim", "C", "c"}:
+        dim = _integer(data["dim"], "'dim'", ModelFormatError)
         try:
-            return Polyhedron(data["C"], data["c"], dim=int(data["dim"]))
-        except ValueError as err:
+            return Polyhedron(data["C"], data["c"], dim=dim)
+        except (TypeError, ValueError) as err:
             raise ModelFormatError(f"bad half-space region: {err}") from err
     raise ModelFormatError(f"unrecognized region keys: {sorted(keys)}")
+
+
+def _box_side(box, side: str, unbounded: float) -> list[float]:
+    values = box[side]
+    if not isinstance(values, list) or not all(
+            v is None or (isinstance(v, numbers.Real) and not isinstance(v, bool)
+                          and not math.isnan(v))
+            for v in values):
+        raise ModelFormatError(f"box '{side}' must be a list of numbers or null")
+    return [unbounded if v is None else float(v) for v in values]
 
 
 def load_region(path) -> Polyhedron:

@@ -6,30 +6,35 @@ symbol per undecided neuron met so far.
 
 A layer's activation state is a `LayerState`: for each branch group of the
 activation (a ReLU neuron, a GroupSort/MaxMin group, a MaxPool window) the
-pieces it keeps over the reachable set. A piece whose preimage contains the
-whole reachable set is kept alone (ties resolved toward the lowest piece
-index); otherwise every feasible piece is kept. `layer_state` derives the
-rest from the kept pieces: a neuron is decided when they all agree on its
-affine parameters and is a star (undecided) neuron otherwise; `lam_mat` is
-the interval hull of the kept rows, and `fixed_T`, `fixed_t` are the affine
-map of the decided neurons. A star's exact value is replaced by a fresh
-auxiliary variable constrained only by the box hull of the per-piece output
-ranges, which keeps the reachable-set overapproximation sound for all later
-layers.
+pieces it keeps over the reachable set. One procedure decides them for every
+activation, reading only its `PieceTable`. Each row direction of the open
+groups' pieces (a group is open while it keeps more than one piece) is
+bounded once over the reachable set by a pair of LPs. A piece all of whose
+rows then hold contains the set and is kept alone (ties resolved toward the
+lowest piece index); a piece with a row violated all over the set is
+dropped, and so is one whose rows span several directions when a joint
+feasibility LP finds it empty; every other piece is kept. A neuron is
+decided when the kept pieces all agree on its affine parameters and is a
+star (undecided) neuron otherwise; `lam_mat` is the interval hull of the
+kept rows, and `fixed_T`, `fixed_t` are the affine map of the decided
+neurons. A star's exact value is replaced by a fresh auxiliary variable
+constrained only by the box hull of the per-piece output ranges, which keeps
+the reachable-set overapproximation sound for all later layers.
 
 Every LP over a region is asked of `region_lp(region)`, which the region
 keeps, so phase 1 runs once per region for all of its layers and neurons.
 Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
 layer's state over a superset as the record, and re-examines only the groups
-holding a star, on the pieces they kept there.
+it left open, on the pieces they kept there.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .activations import ComponentwiseActivation, IdentityActivation, PwlActivation
+from .activations import PieceTable, PwlActivation
 from .exceptions import InfeasibleRegionError, LpSolverError
 from .intervals import IntervalMatrix
 from .network import LinearPrefix, Network
@@ -47,17 +52,36 @@ from .polyhedra import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no truth value to compare by
 class LayerState:
-    """Activation state of one layer over a region: the pieces each branch
-    group keeps, and what `layer_state` derives from them."""
+    """Activation state of `act` over a region: the pieces each branch group
+    keeps, a boolean mask shaped like `act.piece_table().valid` with at least
+    one piece per group. The rest is derived from it on first read."""
 
-    pieces: np.ndarray  # bool, (groups, pieces of the largest group)
-    stars: tuple[int, ...]
-    star_groups: tuple[int, ...]  # groups holding a star neuron
-    lam_mat: IntervalMatrix
-    fixed_T: np.ndarray  # rows of star neurons are zero
-    fixed_t: np.ndarray
+    def __init__(self, act: PwlActivation, pieces):
+        pieces = np.array(pieces, dtype=bool)
+        pieces.setflags(write=False)
+        self.pieces = pieces
+        self._table = act.piece_table()
+
+    @cached_property
+    def _derived(self):
+        # per group over its kept pieces: the entrywise bounds of the rows,
+        # the least offsets, and the rows on which the pieces disagree
+        T, t, order = self._table.T, self._table.t, self._table.order
+        m = self.pieces[:, :, None]
+        lo = T.min(axis=1, where=m[..., None], initial=np.inf)
+        hi = T.max(axis=1, where=m[..., None], initial=-np.inf)
+        off = t.min(axis=1, where=m, initial=np.inf)
+        star = (lo != hi).any(axis=2) | (off != t.max(axis=1, where=m, initial=-np.inf))
+        lo, hi = lo.reshape(-1, T.shape[3])[order], hi.reshape(-1, T.shape[3])[order]
+        off, star = off.reshape(-1)[order], star.reshape(-1)[order]
+        return (tuple(np.flatnonzero(star).tolist()), IntervalMatrix(lo, hi),
+                np.where(star[:, None], 0.0, lo), np.where(star, 0.0, off))
+
+    stars = property(lambda self: self._derived[0])
+    lam_mat = property(lambda self: self._derived[1])
+    fixed_T = property(lambda self: self._derived[2])  # rows of star neurons are zero
+    fixed_t = property(lambda self: self._derived[3])
 
 
 @dataclass(frozen=True)
@@ -69,171 +93,109 @@ class InitPattern:
     prefix: LinearPrefix  # the exact map up to the first star layer's input
 
 
-def _kept_hull(T, t, kept):
-    """Per group, over its kept pieces: the entrywise bounds (lo, hi) of the
-    rows, the least offsets, and the rows on which the pieces disagree (the
-    stars). T is (G, P, r, k), t (G, P, r) and kept (G, P)."""
-    m = kept[:, :, None]
-    lo = T.min(axis=1, where=m[..., None], initial=np.inf)
-    hi = T.max(axis=1, where=m[..., None], initial=-np.inf)
-    off = t.min(axis=1, where=m, initial=np.inf)
-    star = (lo != hi).any(axis=2) | (off != t.max(axis=1, where=m, initial=-np.inf))
-    return lo, hi, off, star
-
-
-def layer_state(act: PwlActivation, pieces) -> LayerState:
-    """The state of `act` that keeps `pieces`, a boolean mask shaped like
-    `act.piece_table().valid`; every group must keep at least one piece."""
-    table = act.piece_table()
-    pieces = np.array(pieces, dtype=bool)
-    pieces.setflags(write=False)
-    lo, hi, off, star = _kept_hull(table.T, table.t, pieces)
-    k = act.in_width
-    lo, hi = lo.reshape(-1, k)[table.order], hi.reshape(-1, k)[table.order]
-    off, star_n = off.reshape(-1)[table.order], star.reshape(-1)[table.order]
-    return LayerState(
-        pieces,
-        tuple(np.flatnonzero(star_n).tolist()),
-        tuple(np.flatnonzero(star.any(axis=1)).tolist()),
-        IntervalMatrix(lo, hi),
-        np.where(star_n[:, None], 0.0, lo),
-        np.where(star_n, 0.0, off),
-    )
-
-
-def _spline_image(slope: float, intercept: float, lo: float, hi: float):
-    """Range of s*z + i over [lo, hi] (closed, possibly infinite)."""
-    if slope == 0.0:
-        return intercept, intercept
-    a = slope * lo + intercept
-    b = slope * hi + intercept
-    return (a, b) if slope > 0.0 else (b, a)
-
-
-def _analyze_componentwise(act: ComponentwiseActivation, region, J, b, todo, pieces):
-    """Keep, for each neuron in `todo`, its containing piece or else every
-    feasible one; returns the pre-activation ranges (lo, hi), set at `todo`."""
-    todo = np.asarray(todo)
-    lo, hi = np.zeros(act.out_width), np.zeros(act.out_width)
-    lp = region_lp(region)
-    for n in todo:
-        lo[n], hi[n] = lp.bounds(J[n])
-    lo += b
-    hi += b
-    left, right = np.array([act.piece_interval(j) for j in range(act.piece_count)]).T
-    zl, zh = lo[todo, None], hi[todo, None]
-    feas = pieces[todo] & (zl <= right + FEAS_TOL) & (zh >= left - FEAS_TOL)
-    contain = feas & (zl >= left - FEAS_TOL) & (zh <= right + FEAS_TOL)
-    none = ~feas.any(axis=1)
-    if none.any():
-        raise LpSolverError(f"no spline piece reachable for neuron {todo[none][0]}")
-    first = np.arange(act.piece_count) == contain.argmax(axis=1)[:, None]
-    pieces[todo] = np.where(contain.any(axis=1)[:, None], first, feas)
-    return lo, hi
-
-
-def _componentwise_aux(act: ComponentwiseActivation, state: LayerState, lo, hi, aux):
-    """Output range of each star neuron over its kept pieces, given its
-    pre-activation range [lo[n], hi[n]]."""
-    for n in state.stars:
-        out_lo = float("inf")
-        out_hi = float("-inf")
-        for j in np.flatnonzero(state.pieces[n]):
-            left, right = act.piece_interval(j)
-            a, bb = _spline_image(act.slopes[n, j], act.intercepts[n, j],
-                                  max(lo[n], left), min(hi[n], right))
-            out_lo = min(out_lo, a)
-            out_hi = max(out_hi, bb)
-        aux[n] = (out_lo, out_hi)
-
-
-def _piece_contains(region, piece_region, J, b) -> bool:
-    """Does {J x + b : x in region} lie inside the piece region?"""
-    lp = region_lp(region)
-    for r in range(piece_region.m):
-        row = piece_region.C[r]
-        hi = lp.support(row @ J)
-        if hi + row @ b > piece_region.c[r] + FEAS_TOL:
-            return False
-    return True
-
-
-def _analyze_generic(act: PwlActivation, region, J, b, todo, pieces, aux):
-    """Keep, for each group in `todo`, its first containing piece or else every
-    feasible one, testing only the pieces it keeps now."""
-    groups = act.branch_groups()
-    table = act.piece_table()
-    for g in todo:
-        fixed, group_pieces = groups[g]
-        # each feasible piece region, with the LP it keeps, is held only while
-        # the group is open and only when the star outputs need its bounds
-        feas = []
-        containing = -1
-        for p in np.flatnonzero(pieces[g]):
-            np_piece = group_pieces[p]
-            piece_region = stack(region, affine_preimage(np_piece.region, J, b))
-            if not is_feasible(piece_region):
+def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
+    """(pieces, sup): the pieces each open group keeps over the image
+    {J x + b : x in region}, and the sup of each bounded `D[j] z` over it.
+    Given `aux`, the star ranges of groups reading several columns go there."""
+    cand = pieces & open_[:, None]
+    n = len(table.D) // 2
+    used = np.unpackbits(np.bitwise_or.reduce(np.where(cand, table.need, 0), axis=2),
+                         axis=0, count=table.dir.shape[1]).T.astype(bool)
+    dirs = np.flatnonzero(np.bincount(table.dir[used] % n, minlength=n))
+    sup = np.zeros(2 * n)
+    if dirs.size:
+        lp = region_lp(region)
+        D = table.D[dirs]
+        lohi = np.array([lp.bounds(o) for o in D @ J]) + (D @ b)[:, None]
+        sup[dirs], sup[dirs + n] = lohi[:, 1], -lohi[:, 0]
+    # a row holds on the image when its sup is within FEAS_TOL of its offset,
+    # and is violated all over it when the sup of its negation is below -off
+    tol = table.off + FEAS_TOL
+    opposite = (table.dir + n) % (2 * n)
+    contain, feas = table.all_rows(np.stack([sup[table.dir] <= tol, sup[opposite] >= -tol])) & cand
+    has = contain.any(axis=1)
+    keep = np.where(has[:, None], np.arange(cand.shape[1]) == contain.argmax(axis=1)[:, None], feas)
+    undecided = open_ & ~has
+    if undecided.any():
+        # a piece whose rows span two or more directions may miss the image
+        # although no single row does: only a joint LP tells
+        k = table.rows
+        dk = table.dir[np.arange(len(k))[:, None, None], k] % n
+        joint = ((dk != dk[:, :, :1]) & (k >= 0)).any(axis=2)
+        columns = (table.cols < table.T.shape[3]).sum(axis=1)
+        for g in np.flatnonzero(undecided):
+            # the star ranges of a group reading several columns are LPs over
+            # its kept pieces; their regions live while the group is open
+            lp_ranges = aux is not None and columns[g] > 1
+            regions = {}
+            for p in np.flatnonzero(keep[g] & (joint[g] | lp_ranges)):
+                regions[p] = stack(region, affine_preimage(table.region(g, p), J, b))
+                keep[g, p] = is_feasible(regions[p])
+            if not lp_ranges:
                 continue
-            feas.append((p, piece_region if aux is not None else None))
-            if _piece_contains(region, np_piece.region, J, b):
-                containing = p
-                break
-        if not feas:
-            raise LpSolverError("no activation piece reachable over a non-empty region")
-        pieces[g] = False
-        if containing >= 0:
-            pieces[g, containing] = True
-            continue
-        pieces[g, [p for p, _ in feas]] = True
-        if aux is None:
-            continue
-        star = _kept_hull(table.T[g:g + 1], table.t[g:g + 1], pieces[g:g + 1])[3]
-        for rpos in np.flatnonzero(star[0]):
-            out_lo = float("inf")
-            out_hi = float("-inf")
-            for p, piece_region in feas:
-                piece = group_pieces[p].piece
-                const = float(piece.T[rpos] @ b + piece.t[rpos])
-                plo, phi = region_lp(piece_region).bounds(piece.T[rpos] @ J)
-                out_lo = min(out_lo, plo + const)
-                out_hi = max(out_hi, phi + const)
-            aux[fixed[rpos]] = (out_lo, out_hi)
+            T, t = table.T[g, keep[g]], table.t[g, keep[g]]
+            for r in np.flatnonzero((T != T[:1]).any(axis=(0, 2)) | (t != t[:1]).any(axis=0)):
+                lo, hi = zip(*(np.add(region_lp(regions[p]).bounds(table.T[g, p, r] @ J),
+                                      float(table.T[g, p, r] @ b + table.t[g, p, r]))
+                               for p in np.flatnonzero(keep[g])))
+                neuron = int(np.flatnonzero(table.order == g * t.shape[1] + r)[0])
+                aux[neuron] = (float(min(lo)), float(max(hi)))
+    if not keep[open_].any(axis=1).all():
+        raise LpSolverError("no activation piece reachable over a non-empty region")
+    return np.where(open_[:, None], keep, pieces), sup
+
+
+def _column_ranges(table: PieceTable, state: LayerState, sup, aux):
+    """The output range of each star neuron of a group reading one column:
+    its range clipped to each kept piece's rows (z <= off along the column's
+    direction, -z <= off along its negation), mapped through the piece's row."""
+    n = len(table.D) // 2
+    stars = np.array(state.stars, dtype=int)
+    g, r = np.divmod(table.order[stars], table.t.shape[2])
+    one = (table.cols[g] < table.T.shape[3]).sum(axis=1) == 1
+    g, r, k = g[one], r[one], table.rows[g[one]]
+    dk, off = table.dir[g[:, None, None], k], table.off[g[:, None, None], k]
+    j = np.stack([table.dir[g, 0] % n, table.dir[g, 0] % n + n])  # the column, then -column
+    rows = np.where((k >= 0) & (dk == j[:, :, None, None]), off, np.inf).min(axis=3)
+    zhi, zlo = np.minimum(sup[j][:, :, None], rows) * np.array([1.0, -1.0])[:, None, None]
+    slope, t = table.T[g, :, r, table.cols[g, 0]], table.t[g, :, r]
+    # a flat row maps every input to its offset, even an infinite one
+    zlo, zhi = np.where(slope == 0, 0.0, zlo), np.where(slope == 0, 0.0, zhi)
+    a, c = slope * zlo + t, slope * zhi + t
+    kept = state.pieces[g]
+    lo = np.where(kept, np.where(slope > 0, a, c), np.inf).min(axis=1)
+    hi = np.where(kept, np.where(slope > 0, c, a), -np.inf).max(axis=1)
+    aux.update(zip(stars[one].tolist(), zip(lo.tolist(), hi.tolist())))
 
 
 def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
                              record: LayerState | None = None,
                              aux: dict | None = None) -> LayerState:
     """Decide which pieces each group of one activation layer keeps over
-    {J x + b : x in region}.
+    {J x + b : x in region}, as the module docstring sets out.
 
     `record` is this layer's state over a superset of the reachable set.
-    With it, only the groups holding a star are re-analysed, each on the
-    pieces it kept there, and every other group keeps its recorded pieces: a
-    piece infeasible over a set is infeasible over each of its subsets, and a
-    piece containing a set contains each of its subsets. Given a dict as
-    `aux`, the output range (lo, hi) of each star neuron n goes to `aux[n]`.
+    With it, each group is analysed on the pieces it kept there, if more
+    than one: a piece infeasible over a set is infeasible over each of its
+    subsets, and a piece containing a set contains each of its subsets.
+    Given a dict as `aux`, the output range (lo, hi) of each star neuron n
+    goes to `aux[n]`: in closed form for a group reading one input column,
+    else by LPs over the kept pieces.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
     if J.shape != (act.in_width, region.dim) or b.shape[0] != act.in_width:
         raise ValueError("pre-activation map does not match the layer")
-    if record is not None:
-        pieces, todo = record.pieces, record.star_groups
-    else:
-        pieces = act.piece_table().valid
-        # an identity layer's one piece is the whole space: no LP decides it
-        todo = () if isinstance(act, IdentityActivation) else range(len(pieces))
-    if not todo:
-        return record if record is not None else layer_state(act, pieces)
-    pieces = pieces.copy()
-    if isinstance(act, ComponentwiseActivation):
-        lo, hi = _analyze_componentwise(act, region, J, b, todo, pieces)
-        state = layer_state(act, pieces)
-        if aux is not None:
-            _componentwise_aux(act, state, lo, hi, aux)
-        return state
-    _analyze_generic(act, region, J, b, todo, pieces, aux)
-    return layer_state(act, pieces)
+    table = act.piece_table()
+    pieces = record.pieces if record is not None else table.valid
+    open_ = pieces.sum(axis=1) > 1
+    if not open_.any():
+        return record if record is not None else LayerState(act, pieces)
+    pieces, sup = _decide(table, region, J, b, open_, pieces, aux)
+    state = LayerState(act, pieces)
+    if aux is not None:
+        _column_ranges(table, state, sup, aux)
+    return state
 
 
 def _extend_domain(dom: Polyhedron, bounds) -> Polyhedron:

@@ -335,13 +335,20 @@ def test_fullsort_seven_lowest_piece_is_stable_argsort():
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_piece_table_regions_match_branch_groups(act):
-    # branch builds regions from the table; they must carry the same bits
+    # branch builds regions from the table, and the analysis reads the same
+    # normalised rows as directions and offsets: they must carry the same bits
     table = act.piece_table()
+    n = len(table.D) // 2
+    np.testing.assert_array_equal(table.D[n:], -table.D[:n])
+    assert all(row[np.flatnonzero(row)[0]] > 0 for row in table.D[:n])
     for g, (_, pieces) in enumerate(act.branch_groups()):
         for p, np_ in enumerate(pieces):
             region = table.region(g, p)
             np.testing.assert_array_equal(region.C, np_.region.C)
             np.testing.assert_array_equal(region.c, np_.region.c)
+            k = table.rows[g, p][table.rows[g, p] >= 0]
+            np.testing.assert_array_equal(table.D[table.dir[g, k]].reshape(region.C.shape), region.C)
+            np.testing.assert_array_equal(table.off[g, k], region.c)
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))

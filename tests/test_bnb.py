@@ -1,9 +1,13 @@
+import importlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import lipcert as lc
 from lipcert import (
     AffineLayer,
+    IntervalMatrix,
     GuardrailExceededError,
     Network,
     NormPair,
@@ -118,6 +122,26 @@ def test_branch_keeps_independent_star():
     for child in children:
         assert child.first_star_layer == 1
         assert child.stars[0] == (1,)
+
+
+def test_branch_derives_each_child_state_once(monkeypatch):
+    # two independent stars: each child keeps a star after re-filtering, and
+    # its layer-1 hull is built once, not once by branch and again by ffilter
+    net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.relu(2),
+                   AffineLayer([[1.0, 1.0]], [0.0])])
+    root = initial_subproblem(net, unit_box(2))
+    root = replace(root, ub=upper_bound(root, net, PAIR22))
+    symprop_module = importlib.import_module("lipcert.symprop")
+    built = []
+
+    def counting_hull(lo, hi):
+        built.append(lo)
+        return IntervalMatrix(lo, hi)
+
+    monkeypatch.setattr(symprop_module, "IntervalMatrix", counting_hull)
+    children, _ = branch(root, net, 0.0, PAIR22)
+    assert [child.stars[0] for child in children] == [(1,), (1,)]
+    assert len(built) == len(children)
 
 
 def test_branch_child_bounds_never_exceed_parent():

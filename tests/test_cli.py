@@ -163,6 +163,13 @@ def test_region_dimension_mismatch_exit_code(abs_model, tmp_path, capsys):
     assert "dimension" in err
 
 
+def test_malformed_region_exit_code(abs_model, tmp_path, capsys):
+    region = write_json(tmp_path / "bad.json", {"global": True})
+    code, _, err = run_cli(capsys, ["compute", "--model", abs_model, "--region", region])
+    assert code == 65
+    assert "'global' must be an integer" in err
+
+
 def test_usage_errors_exit_64(abs_model, capsys):
     # missing region flag
     with pytest.raises(SystemExit) as exc:

@@ -198,6 +198,12 @@ def test_region_json_errors(tmp_path):
         {"global": 0},
         {"box": {"lower": [2.0], "upper": [1.0]}},
         [],
+        {"global": True},
+        {"dim": 1.9, "C": [[1.0]], "c": [1.0]},
+        {"box": {"lower": ["a"], "upper": [1]}},
+        {"box": {"lower": [0], "upper": 1}},
+        {"box": {"lower": [float("nan")], "upper": [1.0]}},
+        {"dim": 1, "C": {}, "c": [1.0]},
     ]:
         with pytest.raises(ModelFormatError):
             region_from_json(bad)

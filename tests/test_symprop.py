@@ -215,7 +215,7 @@ def test_first_star_layer_is_first_nonempty():
 
 
 def test_layer_state_matches_per_group_hull():
-    """layer_state against a group-by-group hull of the kept pieces' rows,
+    """LayerState against a group-by-group hull of the kept pieces' rows,
     on random kept sets, with padded groups (short windows, remainders)."""
     rng = np.random.default_rng(24)
     acts = [lc.relu(3), lc.spline(2, [-1.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 1.0]),
@@ -228,7 +228,7 @@ def test_layer_state_matches_per_group_hull():
             for g in range(len(valid)):
                 if not pieces[g].any():
                     pieces[g, rng.choice(np.flatnonzero(valid[g]))] = True
-            state = lc.layer_state(act, pieces)
+            state = lc.LayerState(act, pieces)
             stars = []
             for (fixed, group_pieces), kept in zip(act.branch_groups(), pieces):
                 chosen = [group_pieces[p].piece for p in np.flatnonzero(kept)]
@@ -244,5 +244,3 @@ def test_layer_state_matches_per_group_hull():
                         np.testing.assert_array_equal(state.fixed_T[n], rows[0])
                         assert state.fixed_t[n] == offs[0]
             assert state.stars == tuple(sorted(stars))
-            assert state.star_groups == tuple(
-                g for g, (fixed, _) in enumerate(act.branch_groups()) if set(fixed) & set(stars))
