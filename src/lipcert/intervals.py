@@ -58,10 +58,24 @@ class IntervalMatrix:
         return f"IntervalMatrix(shape={self.shape}, degenerate={self.is_degenerate()})"
 
 
+def owned_interval(lo: np.ndarray, hi: np.ndarray) -> IntervalMatrix:
+    """[lo, hi] over 2-D float arrays this package has just built and hands
+    over: finite, ordered and referenced nowhere else, so neither copied nor
+    checked again."""
+    M = object.__new__(IntervalMatrix)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    M.lower = lo
+    M.upper = hi
+    return M
+
+
 def exact(M) -> IntervalMatrix:
-    """Degenerate interval matrix [M, M]."""
-    A = _as_matrix(M)
-    return IntervalMatrix(A, A)
+    """Degenerate interval matrix [M, M]: one copy of M serves both bounds."""
+    A = _as_matrix(M).copy()
+    if not np.isfinite(A).all():
+        raise ValueError("interval bounds must be finite")
+    return owned_interval(A, A)
 
 
 def interval_matmul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
@@ -90,7 +104,7 @@ def interval_matmul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
         p4 = au * bu
         lo += np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1)
         hi += np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1)
-    return IntervalMatrix(lo, hi)
+    return owned_interval(lo, hi)
 
 
 def abs_upper_envelope(J: IntervalMatrix) -> np.ndarray:
@@ -108,4 +122,6 @@ def hull(pieces) -> IntervalMatrix:
         if M.shape != shape:
             raise ValueError(f"piece shapes differ: {M.shape} vs {shape}")
     stacked = np.stack(mats)
-    return IntervalMatrix(stacked.min(axis=0), stacked.max(axis=0))
+    if not np.isfinite(stacked).all():
+        raise ValueError("interval bounds must be finite")
+    return owned_interval(stacked.min(axis=0), stacked.max(axis=0))

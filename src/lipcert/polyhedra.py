@@ -137,7 +137,7 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
 
 
 def region_lp(P: Polyhedron) -> simplex.RegionLP:
-    """The LPs of P: phase 1 on the first call, then one phase 2 per objective
+    """The LPs of P: phase 1 on the first call, then phase 2 for the objectives
     asked of it. Every later call returns the same object."""
     if P._lp is None:
         P._lp = simplex.RegionLP(P.C, P.c)
@@ -165,7 +165,8 @@ def linear_bounds(P: Polyhedron, objective) -> tuple[float, float]:
 
     Raises InfeasibleRegionError when P is empty.
     """
-    return region_lp(P).bounds(_objective(P, objective))
+    lo, hi = region_lp(P).bounds(_objective(P, objective)[None])[0]
+    return float(lo), float(hi)
 
 
 def support_value(P: Polyhedron, objective) -> float:
@@ -175,14 +176,10 @@ def support_value(P: Polyhedron, objective) -> float:
 
 def coordinate_bounds(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate (lower, upper) bounds of P; the tightest enclosing box."""
-    lo = np.full(P.dim, float("-inf"))
-    hi = np.full(P.dim, float("inf"))
     if P.m == 0:
-        return lo, hi
-    lp = region_lp(P)
-    for i, e in enumerate(np.eye(P.dim)):
-        lo[i], hi[i] = lp.bounds(e)
-    return lo, hi
+        return np.full(P.dim, -np.inf), np.full(P.dim, np.inf)
+    lohi = region_lp(P).bounds(np.eye(P.dim))
+    return lohi[:, 0].copy(), lohi[:, 1].copy()
 
 
 def region_from_json(data) -> Polyhedron:

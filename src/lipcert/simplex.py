@@ -8,11 +8,17 @@ more predictable here than sparse machinery or interior-point codes.
 The queries come in batches over one region: the range of every neuron's
 pre-activation, every row of a piece-containment test. `RegionLP` therefore
 builds the tableau of a region and runs phase 1 once, saves the feasible basis
-it reaches, and answers each objective with phase 2 alone, started from a copy
-of that saved basis. Every answer is thus independent of the order in which
-the objectives are asked. `polyhedra.region_lp` keeps one per region, so every
-query of a region shares its phase 1. `solve_lp` and `feasible_point` are the
-one-query uses of the same object, so tableau setup exists in one place.
+it reaches, and starts each objective's phase 2 from a copy of that saved
+basis, so every answer is independent of the order and the company in which
+it is asked. `RegionLP.bounds` takes a matrix of objectives and solves their
+2k phase-2 LPs together: a stack of copies of the saved tableau pivots in
+lock-step, each LP as the 2-D kernel would pivot it alone, and an LP leaves
+the stack when it ends. Stacks are cut to a fixed number of tableau elements;
+a stack of fewer than four tableaux (large tableaux, or the last few LPs)
+runs them one by one in the 2-D kernel, which costs less per pivot there.
+`polyhedra.region_lp` keeps one `RegionLP` per region, so every query of a
+region shares its phase 1. `solve_lp` and `feasible_point` are the one-query
+uses of the same object, so tableau setup exists in one place.
 """
 from __future__ import annotations
 
@@ -25,6 +31,12 @@ from .exceptions import InfeasibleRegionError, LpSolverError
 FEAS_TOL = 1e-9
 PIVOT_TOL = 1e-10
 _MAX_PIVOTS = 100000
+# tableau elements per stack of phase-2 LPs solved in lock-step; keeps the
+# temporaries of one stacked pivot small whatever the number of objectives
+_STACK = 1 << 15
+# fewer tableaux than this per stack cost more per pivot in lock-step than
+# one by one, so they run the 2-D kernel
+_MIN_STACK = 4
 
 
 @dataclass
@@ -72,6 +84,57 @@ def _run_simplex(T, basis, budget):
             )
 
 
+def _run_stack(T, basis, budget):
+    """`_run_simplex` on a stack of tableaux T (k x rows x columns) with bases
+    (k x rows), in lock-step: each pivot is the one, and does the arithmetic,
+    that the 2-D kernel would do on that tableau alone. An LP leaves the stack
+    when it ends. Returns (values, unbounded): -T[-1, -1] of each LP that
+    ends optimal, and which LPs end unbounded, in stack order.
+    """
+    k, _, n = T.shape
+    values = np.empty(k)
+    unbounded = np.zeros(k, dtype=bool)
+    live = np.arange(k)
+    at = np.arange(k)
+    work = np.empty_like(T)
+    used = 0
+    while True:
+        negative = T[:, -1, :-1] < -PIVOT_TOL
+        entering = negative.argmax(axis=1)
+        col = T[at, :-1, entering]
+        pos = col > PIVOT_TOL
+        optimal = ~negative[at, entering]
+        go = ~optimal & pos.any(axis=1)
+        if not go.all():
+            values[live[optimal]] = -T[optimal, -1, -1]
+            unbounded[live[~(go | optimal)]] = True
+            if not go.any():
+                return values, unbounded
+            T, basis, live = T[go], basis[go], live[go]
+            entering, col, pos = entering[go], col[go], pos[go]
+            at = np.arange(live.size)
+            work = work[: live.size]
+        ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        tied = pos & (ratios == ratios.min(axis=1, keepdims=True))
+        leave = np.where(tied, basis, n).argmin(axis=1)
+        # _pivot, one tableau per stack entry
+        prow = T[at, leave]
+        prow /= prow[at, entering][:, None]
+        T[at, leave] = prow
+        factors = T[at, :, entering]
+        factors[at, leave] = 0.0
+        np.multiply(factors[:, :, None], prow[:, None, :], out=work)
+        T -= work
+        T[at, :, entering] = 0.0
+        T[at, leave, entering] = 1.0
+        basis[at, leave] = entering
+        used += 1
+        if used > budget:
+            raise LpSolverError(
+                f"simplex exceeded {budget} pivots", phase="pivot-budget"
+            )
+
+
 def _build_tableau(A, b):
     """Standard-form tableau for A x <= b with x free (split x = u - v).
 
@@ -104,6 +167,15 @@ def _set_objective(T, basis, obj):
     T[-1] = obj
 
 
+def _set_objectives(T, basis, objs):
+    """`_set_objective` of each row of `objs` (k x columns) on the tableau T,
+    in place on `objs`: a row whose cost on row r's basic column is zero
+    skips row r, as the 2-D loop does, so each row's arithmetic is its own."""
+    for r in np.flatnonzero(objs[:, basis].any(axis=0)):
+        coef = objs[:, basis[r]]
+        np.subtract(objs, coef[:, None] * T[r], out=objs, where=(coef != 0)[:, None])
+
+
 def _basic_point(T, basis, d):
     vals = np.zeros(T.shape[1] - 1)
     vals[basis] = T[:-1, -1]
@@ -111,7 +183,7 @@ def _basic_point(T, basis, d):
 
 
 class RegionLP:
-    """The LPs of one region A x <= b: phase 1 once, phase 2 per objective.
+    """The LPs of one region A x <= b: phase 1 once, then phase 2 from its basis.
 
     `feasible` is settled at construction. The first objective drives the
     remaining artificial variables out of the phase-1 basis and drops their
@@ -145,17 +217,37 @@ class RegionLP:
         """The basic point phase 1 ends at (within FEAS_TOL), or None if empty."""
         return None if self._point is None else self._point.copy()
 
-    def _start_phase2(self) -> None:
+    def _phase2_start(self) -> np.ndarray:
+        """The saved tableau phase 2 starts from, without artificial columns."""
         T, basis, first_art = self._T, self._basis, self._first_art
-        # an artificial still basic (at zero) in row r always has a pivot: the
-        # slack of its own constraint stays the negated artificial column
-        # through every pivot, so it holds -1 in row r
-        for r in np.flatnonzero(basis >= first_art):
-            j = int(np.flatnonzero(np.abs(T[r, :first_art]) > PIVOT_TOL)[0])
-            _pivot(T, r, j)
-            basis[r] = j
-        # artificial columns may never re-enter phase 2
-        self._T = np.delete(T, np.s_[first_art:-1], axis=1)
+        if T.shape[1] > first_art + 1:  # still the phase-1 tableau
+            # an artificial still basic (at zero) in row r always has a pivot:
+            # the slack of its own constraint stays the negated artificial
+            # column through every pivot, so it holds -1 in row r
+            for r in np.flatnonzero(basis >= first_art):
+                j = int(np.flatnonzero(np.abs(T[r, :first_art]) > PIVOT_TOL)[0])
+                _pivot(T, r, j)
+                basis[r] = j
+            # artificial columns may never re-enter phase 2
+            self._T = np.delete(T, np.s_[first_art:-1], axis=1)
+        return self._T
+
+    def _objectives(self, costs) -> np.ndarray:
+        """The full cost rows (u, v, slack columns, rhs) of the rows of `costs`."""
+        d = self.dim
+        objs = np.zeros((costs.shape[0], self._phase2_start().shape[1]))
+        objs[:, :d] = costs
+        objs[:, d : 2 * d] = -costs
+        return objs
+
+    def _solve(self, obj):
+        """Phase 2 of the full cost row `obj` on a copy of the saved tableau:
+        (tableau, basis, status) at its end."""
+        T = self._T.copy()
+        basis = self._basis.copy()
+        _set_objective(T, basis, obj)
+        status, _ = _run_simplex(T, basis, self._budget)
+        return T, basis, status
 
     def minimize(self, cost) -> LpResult:
         """min cost.x over the region, from the saved post-phase-1 basis."""
@@ -164,33 +256,47 @@ class RegionLP:
             raise ValueError("cost length does not match the variable count")
         if not self.feasible:
             return LpResult("infeasible", None, float("inf"))
-        if self._T.shape[1] > self._first_art + 1:  # still the phase-1 tableau
-            self._start_phase2()
-        d = self.dim
-        T = self._T.copy()
-        basis = self._basis.copy()
-        obj = np.zeros(T.shape[1])
-        obj[:d] = cost
-        obj[d : 2 * d] = -cost
-        _set_objective(T, basis, obj)
-        status, _ = _run_simplex(T, basis, self._budget)
-        x = _basic_point(T, basis, d)
+        T, basis, status = self._solve(self._objectives(cost[None])[0])
+        x = _basic_point(T, basis, self.dim)
         if status == "unbounded":
             return LpResult("unbounded", x, float("-inf"))
         return LpResult("optimal", x, float(-T[-1, -1]))
 
-    def bounds(self, objective) -> tuple[float, float]:
-        """(inf, sup) of objective.x over the region; +-inf when unbounded.
+    def bounds(self, objectives) -> np.ndarray:
+        """(inf, sup) of o.x over the region for each row o of the (k, dim)
+        matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
 
+        The 2k phase-2 LPs run in stacks of up to _STACK tableau elements;
+        a stack of fewer than _MIN_STACK tableaux runs them one by one. Each
+        answer is bit for bit that of `minimize(o)` and `minimize(-o)`.
         Raises InfeasibleRegionError when the region is empty.
         """
         if not self.feasible:
             raise InfeasibleRegionError("bounds queried on an empty region")
-        objective = np.asarray(objective, dtype=float).reshape(-1)
-        lo = self.minimize(objective)
-        hi = self.minimize(-objective)
-        return (float("-inf") if lo.status == "unbounded" else lo.value,
-                float("inf") if hi.status == "unbounded" else -hi.value)
+        O = np.asarray(objectives, dtype=float)
+        if O.ndim != 2 or O.shape[1] != self.dim:
+            raise ValueError("objectives must be a matrix with one column per variable")
+        k = O.shape[0]
+        T, basis = self._phase2_start(), self._basis
+        objs = self._objectives(np.concatenate([O, -O]))
+        values = np.empty(2 * k)
+        unbounded = np.empty(2 * k, dtype=bool)
+        step = max(1, _STACK // T.size)
+        for s in range(0, 2 * k, step):
+            chunk = objs[s : s + step]
+            if len(chunk) < _MIN_STACK:
+                for i, obj in enumerate(chunk, start=s):
+                    end, _, status = self._solve(obj)
+                    values[i], unbounded[i] = -end[-1, -1], status == "unbounded"
+                continue
+            _set_objectives(T, basis, chunk)
+            stack = np.repeat(T[None], len(chunk), axis=0)
+            stack[:, -1] = chunk
+            bases = np.repeat(basis[None], len(chunk), axis=0)
+            values[s : s + step], unbounded[s : s + step] = _run_stack(stack, bases, self._budget)
+        lo = np.where(unbounded[:k], -np.inf, values[:k])
+        hi = np.where(unbounded[k:], np.inf, -values[k:])
+        return np.stack([lo, hi], axis=1)
 
     def support(self, objective) -> float:
         """sup of objective.x over the region (+inf if unbounded).

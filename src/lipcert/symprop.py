@@ -36,7 +36,7 @@ import numpy as np
 
 from .activations import PieceTable, PwlActivation
 from .exceptions import InfeasibleRegionError, LpSolverError
-from .intervals import IntervalMatrix
+from .intervals import owned_interval
 from .network import LinearPrefix, Network
 # linear_bounds and support_value are not called here; they stay importable
 # from this module because perfbench/layertrace.py rebinds them here by name.
@@ -75,7 +75,7 @@ class LayerState:
         star = (lo != hi).any(axis=2) | (off != t.max(axis=1, where=m, initial=-np.inf))
         lo, hi = lo.reshape(-1, T.shape[3])[order], hi.reshape(-1, T.shape[3])[order]
         off, star = off.reshape(-1)[order], star.reshape(-1)[order]
-        return (tuple(np.flatnonzero(star).tolist()), IntervalMatrix(lo, hi),
+        return (tuple(np.flatnonzero(star).tolist()), owned_interval(lo, hi),
                 np.where(star[:, None], 0.0, lo), np.where(star, 0.0, off))
 
     stars = property(lambda self: self._derived[0])
@@ -104,9 +104,8 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
     dirs = np.flatnonzero(np.bincount(table.dir[used] % n, minlength=n))
     sup = np.zeros(2 * n)
     if dirs.size:
-        lp = region_lp(region)
         D = table.D[dirs]
-        lohi = np.array([lp.bounds(o) for o in D @ J]) + (D @ b)[:, None]
+        lohi = region_lp(region).bounds(D @ J) + (D @ b)[:, None]
         sup[dirs], sup[dirs + n] = lohi[:, 1], -lohi[:, 0]
     # a row holds on the image when its sup is within FEAS_TOL of its offset,
     # and is violated all over it when the sup of its negation is below -off
@@ -134,10 +133,15 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
             if not lp_ranges:
                 continue
             T, t = table.T[g, keep[g]], table.t[g, keep[g]]
-            for r in np.flatnonzero((T != T[:1]).any(axis=(0, 2)) | (t != t[:1]).any(axis=0)):
-                lo, hi = zip(*(np.add(region_lp(regions[p]).bounds(table.T[g, p, r] @ J),
-                                      float(table.T[g, p, r] @ b + table.t[g, p, r]))
-                               for p in np.flatnonzero(keep[g])))
+            rows = np.flatnonzero((T != T[:1]).any(axis=(0, 2)) | (t != t[:1]).any(axis=0))
+            if rows.size == 0:
+                continue
+            # rows x kept pieces x (lo, hi): one batch of LPs per kept piece
+            lohi = np.stack([
+                region_lp(regions[p]).bounds(table.T[g, p, rows] @ J)
+                + (table.T[g, p, rows] @ b + table.t[g, p, rows])[:, None]
+                for p in np.flatnonzero(keep[g])], axis=1)
+            for r, (lo, hi) in zip(rows, lohi.transpose(0, 2, 1)):
                 neuron = int(np.flatnonzero(table.order == g * t.shape[1] + r)[0])
                 aux[neuron] = (float(min(lo)), float(max(hi)))
     if not keep[open_].any(axis=1).all():

@@ -7,7 +7,6 @@ import pytest
 import lipcert as lc
 from lipcert import (
     AffineLayer,
-    IntervalMatrix,
     GuardrailExceededError,
     Network,
     NormPair,
@@ -20,6 +19,7 @@ from lipcert import (
     solve,
     upper_bound,
 )
+from lipcert.intervals import owned_interval
 
 from conftest import make_abs_net, random_net, sample_in_region, unit_box
 
@@ -136,9 +136,9 @@ def test_branch_derives_each_child_state_once(monkeypatch):
 
     def counting_hull(lo, hi):
         built.append(lo)
-        return IntervalMatrix(lo, hi)
+        return owned_interval(lo, hi)
 
-    monkeypatch.setattr(symprop_module, "IntervalMatrix", counting_hull)
+    monkeypatch.setattr(symprop_module, "owned_interval", counting_hull)
     children, _ = branch(root, net, 0.0, PAIR22)
     assert [child.stars[0] for child in children] == [(1,), (1,)]
     assert len(built) == len(children)

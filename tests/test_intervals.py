@@ -31,6 +31,25 @@ def test_exact_is_degenerate():
     assert J.contains(A + 1e-6, tol=1e-5)
 
 
+def test_built_intervals_are_read_only_copies():
+    # the package's own results skip re-validation but stay read-only and
+    # independent of the caller's arrays; exact still rejects non-finite input
+    A = np.array([[1.0, -2.0], [3.0, 4.0]])
+    J = exact(A)
+    A[0, 0] = 9.0
+    assert J.lower[0, 0] == 1.0 and J.upper[0, 0] == 1.0
+    H = hull([A, -A])
+    P = interval_matmul(J, H)
+    for M in (J, H, P):
+        for bound in (M.lower, M.upper):
+            with pytest.raises(ValueError):
+                bound[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        exact([[np.inf]])
+    with pytest.raises(ValueError):
+        hull([np.array([[np.nan]])])
+
+
 def test_matmul_degenerate_matches_dot():
     A = np.array([[1.0, 2.0], [3.0, 4.0]])
     B = np.array([[1.0], [1.0]])

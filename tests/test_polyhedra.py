@@ -243,7 +243,7 @@ def test_kept_lp_answers_like_a_fresh_one():
             res = lp.minimize(cost)
             return res.status, float(res.value).hex(), None if res.x is None else res.x.tobytes()
         if kind == "bounds":
-            return tuple(float(v).hex() for v in lp.bounds(cost))
+            return tuple(float(v).hex() for v in lp.bounds(cost[None])[0])
         if kind == "support":
             return float(lp.support(cost)).hex()
         return lp.point().tobytes()
@@ -266,6 +266,6 @@ def test_kept_lp_answers_like_a_fresh_one():
         if kept.feasible:
             lo, hi = coordinate_bounds(P)
             for i, e in enumerate(np.eye(d)):
-                want = simplex.RegionLP(P.C, P.c).bounds(e)
+                want = simplex.RegionLP(P.C, P.c).bounds(e[None])[0]
                 assert (lo[i].hex(), hi[i].hex()) == tuple(v.hex() for v in want)
         assert region_lp(P) is kept

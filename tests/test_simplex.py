@@ -196,8 +196,8 @@ def test_region_lp_negative_rhs_needs_artificials():
     lp = RegionLP(A, b)
     assert lp.feasible
     assert np.all(A @ lp.point() <= b + FEAS_TOL)
-    assert lp.bounds([1.0, 0.0]) == pytest.approx((1.0, 3.0), abs=1e-9)
-    assert lp.bounds([0.0, 1.0]) == pytest.approx((2.0, 4.0), abs=1e-9)
+    assert tuple(lp.bounds([[1.0, 0.0]])[0]) == pytest.approx((1.0, 3.0), abs=1e-9)
+    assert tuple(lp.bounds([[0.0, 1.0]])[0]) == pytest.approx((2.0, 4.0), abs=1e-9)
     assert lp.support([1.0, 1.0]) == pytest.approx(5.0, abs=1e-9)
 
 
@@ -219,14 +219,14 @@ def test_region_lp_zero_rows():
     A = np.zeros((3, 2))
     lp = RegionLP(A, np.array([0.0, 1.0, 2.0]))
     assert lp.feasible
-    assert lp.bounds([1.0, 0.0]) == (-np.inf, np.inf)
-    assert lp.bounds([0.0, 0.0]) == (0.0, 0.0)
+    np.testing.assert_array_equal(lp.bounds([[1.0, 0.0], [0.0, 0.0]]),
+                                  [[-np.inf, np.inf], [0.0, 0.0]])
     empty = RegionLP(A, np.array([0.0, -1.0, 2.0]))  # 0 <= -1
     assert not empty.feasible
     assert empty.point() is None
     assert empty.minimize([1.0, 0.0]).status == "infeasible"
     with pytest.raises(InfeasibleRegionError):
-        empty.bounds([1.0, 0.0])
+        empty.bounds([[1.0, 0.0]])
     with pytest.raises(InfeasibleRegionError):
         empty.support([1.0, 0.0])
     none = RegionLP(np.zeros((0, 2)), np.zeros(0))
