@@ -1,4 +1,11 @@
-"""Half-space polyhedra with LP-backed feasibility and bound queries."""
+"""Half-space polyhedra with LP-backed feasibility and bound queries.
+
+Each region keeps the LP object `region_lp` builds for it on first use, and
+every query of the region asks that object. A region whose rows each bound a
+single coordinate (a box, or the whole space) gets a `BoxLP`, which answers
+from the box's sides in closed form; every other region gets a
+`simplex.RegionLP`.
+"""
 from __future__ import annotations
 
 import json
@@ -8,7 +15,7 @@ import numbers
 import numpy as np
 
 from . import simplex
-from .exceptions import ModelFormatError, _integer
+from .exceptions import InfeasibleRegionError, ModelFormatError, _integer
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
@@ -85,28 +92,24 @@ class Polyhedron:
 
     @classmethod
     def from_box(cls, lower, upper) -> "Polyhedron":
-        """Axis-aligned box; infinite entries contribute no constraint row."""
+        """Axis-aligned box; an infinite lower (-inf) or upper (+inf) side
+        contributes no constraint row. Raises ValueError for a NaN side, a
+        lower side of +inf or an upper side of -inf."""
         lower = np.asarray(lower, dtype=float).reshape(-1)
         upper = np.asarray(upper, dtype=float).reshape(-1)
         if lower.shape != upper.shape:
             raise ValueError("box bounds disagree on dimension")
+        if np.isnan(lower).any() or np.isnan(upper).any():
+            raise ValueError("box sides must not be NaN")
+        if (lower == np.inf).any() or (upper == -np.inf).any():
+            raise ValueError("box has a lower side of +inf or an upper side of -inf")
         d = lower.shape[0]
-        rows = []
-        offs = []
-        for i in range(d):
-            if np.isfinite(upper[i]):
-                e = np.zeros(d)
-                e[i] = 1.0
-                rows.append(e)
-                offs.append(upper[i])
-            if np.isfinite(lower[i]):
-                e = np.zeros(d)
-                e[i] = -1.0
-                rows.append(e)
-                offs.append(-lower[i])
-        if not rows:
-            return cls.universe(d)
-        return cls(np.array(rows), np.array(offs), dim=d)
+        # row 2i is x_i <= upper_i, row 2i + 1 is -x_i <= -lower_i
+        C = np.zeros((2 * d, d))
+        C[np.arange(2 * d), np.arange(2 * d) // 2] = np.tile([1.0, -1.0], d)
+        c = np.stack([upper, -lower], axis=1).reshape(-1)
+        keep = np.isfinite(c)
+        return cls(C[keep], c[keep], dim=d)
 
     def contains(self, x, tol: float = FEAS_TOL) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -136,11 +139,89 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
     return Polyhedron(Q.C @ J, Q.c - Q.C @ b, dim=J.shape[1])
 
 
-def region_lp(P: Polyhedron) -> simplex.RegionLP:
-    """The LPs of P: phase 1 on the first call, then phase 2 for the objectives
-    asked of it. Every later call returns the same object."""
+class BoxLP:
+    """The LPs of a region whose rows each bound one coordinate (a box, or the
+    whole space), answered in closed form with `simplex.RegionLP`'s query
+    surface: each coordinate i lies in [lo_i, hi_i], the tightest of its
+    rows' bounds c / a.
+
+    The box is empty when its total inversion sum_i max(0, lo_i - hi_i)
+    exceeds FEAS_TOL. That sum is the phase-1 optimum of the simplex when each
+    coordinate has one row per side, and never exceeds it, so a box is called
+    empty only where the simplex would call it empty.
+    """
+
+    __slots__ = ("dim", "feasible", "_lo", "_hi")
+
+    def __init__(self, C, c):
+        dim = C.shape[1]
+        i, j = np.nonzero(C)
+        bound = c[i] / C[i, j]
+        upper = C[i, j] > 0
+        lo, hi = np.full(dim, -np.inf), np.full(dim, np.inf)
+        np.maximum.at(lo, j[~upper], bound[~upper])
+        np.minimum.at(hi, j[upper], bound[upper])
+        self.dim = dim
+        self.feasible = bool(np.maximum(lo - hi, 0.0).sum() <= FEAS_TOL)
+        self._lo, self._hi = lo, hi
+
+    def point(self) -> np.ndarray | None:
+        """The point of the box nearest the origin, or None if it is empty."""
+        return np.clip(0.0, self._lo, self._hi) if self.feasible else None
+
+    def minimize(self, cost) -> simplex.LpResult:
+        """min cost.x over the box, at the vertex each cost sign points to
+        (the point nearest the origin along zero costs); when unbounded, a
+        finite point of the box."""
+        cost = np.asarray(cost, dtype=float).reshape(-1)
+        if cost.shape[0] != self.dim:
+            raise ValueError("cost length does not match the variable count")
+        if not self.feasible:
+            return simplex.LpResult("infeasible", None, float("inf"))
+        value = float(self.bounds(cost[None])[0, 0])
+        x = np.where(cost > 0, self._lo, np.where(cost < 0, self._hi, np.nan))
+        x = np.where(np.isfinite(x), x, np.clip(0.0, self._lo, self._hi))
+        return simplex.LpResult("unbounded" if value == -np.inf else "optimal", x, value)
+
+    def bounds(self, objectives) -> np.ndarray:
+        """(inf, sup) of o.x over the box for each row o of the (k, dim) matrix
+        `objectives`, as a (k, 2) array; +-inf where unbounded.
+
+        Raises InfeasibleRegionError when the box is empty.
+        """
+        if not self.feasible:
+            raise InfeasibleRegionError("bounds queried on an empty region")
+        O = np.asarray(objectives, dtype=float)
+        if O.ndim != 2 or O.shape[1] != self.dim:
+            raise ValueError("objectives must be a matrix with one column per variable")
+        # a zero coefficient times an infinite side is NaN, and is masked to 0
+        with np.errstate(invalid="ignore"):
+            at_lo, at_hi = O * self._lo, O * self._hi
+            inf = np.where(O > 0, at_lo, np.where(O < 0, at_hi, 0.0)).sum(axis=1)
+            sup = np.where(O > 0, at_hi, np.where(O < 0, at_lo, 0.0)).sum(axis=1)
+        return np.stack([inf, sup], axis=1)
+
+    def support(self, objective) -> float:
+        """sup of objective.x over the box (+inf if unbounded).
+
+        Raises InfeasibleRegionError when the box is empty.
+        """
+        objective = np.asarray(objective, dtype=float).reshape(1, -1)
+        return float(self.bounds(objective)[0, 1])
+
+
+def region_lp(P: Polyhedron) -> BoxLP | simplex.RegionLP:
+    """The LPs of P: a `BoxLP` when every row of P bounds one coordinate (the
+    whole space included), else a `simplex.RegionLP`, which runs phase 1 on
+    the first call and phase 2 for the objectives asked of it. Every later
+    call returns the same object."""
     if P._lp is None:
-        P._lp = simplex.RegionLP(P.C, P.c)
+        # one non-zero entry per row: m of them, and no row without one (the
+        # total alone is about ten times cheaper and rejects most regions)
+        if np.count_nonzero(P.C) == P.m and P.C.any(axis=1).all():
+            P._lp = BoxLP(P.C, P.c)
+        else:
+            P._lp = simplex.RegionLP(P.C, P.c)
     return P._lp
 
 
@@ -176,8 +257,6 @@ def support_value(P: Polyhedron, objective) -> float:
 
 def coordinate_bounds(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:
     """Per-coordinate (lower, upper) bounds of P; the tightest enclosing box."""
-    if P.m == 0:
-        return np.full(P.dim, -np.inf), np.full(P.dim, np.inf)
     lohi = region_lp(P).bounds(np.eye(P.dim))
     return lohi[:, 0].copy(), lohi[:, 1].copy()
 

@@ -16,9 +16,11 @@ lock-step, each LP as the 2-D kernel would pivot it alone, and an LP leaves
 the stack when it ends. Stacks are cut to a fixed number of tableau elements;
 a stack of fewer than four tableaux (large tableaux, or the last few LPs)
 runs them one by one in the 2-D kernel, which costs less per pivot there.
-`polyhedra.region_lp` keeps one `RegionLP` per region, so every query of a
-region shares its phase 1. `solve_lp` and `feasible_point` are the one-query
-uses of the same object, so tableau setup exists in one place.
+`polyhedra.region_lp` keeps one `RegionLP` per region that is not a box, so
+every query of such a region shares its phase 1; a box's LPs are answered in
+closed form there (`polyhedra.BoxLP`) and never reach this module.
+`solve_lp` and `feasible_point` are the one-query uses of the same object,
+so tableau setup exists in one place.
 """
 from __future__ import annotations
 

@@ -21,8 +21,11 @@ neurons. A star's exact value is replaced by a fresh auxiliary variable
 constrained only by the box hull of the per-piece output ranges, which keeps
 the reachable-set overapproximation sound for all later layers.
 
-Every LP over a region is asked of `region_lp(region)`, which the region
-keeps, so phase 1 runs once per region for all of its layers and neurons.
+Every LP over a region is asked of the object `region_lp(region)` returns,
+which the region keeps. Auxiliary variables add only box rows, so over a box
+input region (or the whole space) every region of the root pass is a box,
+and its LPs are answered in closed form; over any other region phase 1 runs
+once per region for all of its layers and neurons.
 Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
 layer's state over a superset as the record, and re-examines only the groups
 it left open, on the pieces they kept there.

@@ -302,13 +302,34 @@ def test_solve_seeding_shrinks_peak_heap():
     assert seeded.gub == pytest.approx(plain.gub, abs=1e-9)
 
 
+def _abs_sum_net() -> lc.Network:
+    """f(x) = |x0 + x1|."""
+    return lc.Network([
+        lc.AffineLayer([[1.0, 1.0], [-1.0, -1.0]], [0.0, 0.0]),
+        lc.relu(2),
+        lc.AffineLayer([[1.0, 1.0]], [0.0]),
+    ])
+
+
 def test_solve_with_samples_builds_one_lp_on_omega(region_lps):
     # the symbolic pass, the sampler's feasibility test and its bounding box
-    # all ask the LP that omega keeps
-    omega = unit_box(1)
-    res = solve(make_abs_net(), omega, SolverConfig(sample_count=20))
+    # all ask the LP that omega keeps; omega, a diamond, is no box
+    omega = Polyhedron([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]], np.ones(4))
+    res = solve(_abs_sum_net(), omega, SolverConfig(sample_count=20))
     assert res.status == "exact"
     assert sum(A is omega.C for A, _ in region_lps) == 1
+
+
+def test_solve_over_a_box_builds_no_simplex_lp_on_omega(region_lps):
+    # a box omega's queries are answered in closed form
+    omega = unit_box(2)
+    res = solve(_abs_sum_net(), omega, SolverConfig(sample_count=20))
+    assert res.status == "exact"
+    assert not any(A is omega.C for A, _ in region_lps)
+    # in one dimension every region is a box: no simplex LP at all
+    region_lps.clear()
+    assert solve(make_abs_net(), unit_box(1), SolverConfig(sample_count=20)).status == "exact"
+    assert region_lps == []
 
 
 def test_solver_config_validation():

@@ -1,0 +1,149 @@
+"""`region_lp` answers the LPs of a box in closed form (`polyhedra.BoxLP`); its
+answers must be those of the simplex on the same rows, and the symbolic pass
+must reach the same decisions with either."""
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import lipcert as lc
+from lipcert import InfeasibleRegionError, polyhedra, simplex, symprop_trace
+from lipcert.polyhedra import FEAS_TOL, BoxLP, Polyhedron, region_lp
+
+from conftest import random_net
+
+SIDES = ["finite", "lower only", "upper only", "free", "point",
+         "inverted within tol", "inverted beyond tol"]
+
+
+def _box_rows(rng, d: int, sides, tight: bool):
+    """Rows of a box in R^d, one kind of side per coordinate, in shuffled
+    order, each side with a redundant parallel row scaled by 2 or 0.5 beside
+    it half of the time: `tight` ones lie 1e-10 outside their side, the rest
+    between 1e-3 and 1 outside it (x <= 1 with 2x <= 3)."""
+    rows, offs = [], []
+
+    def side(i, sign, bound):
+        e = np.zeros(d)
+        e[i] = sign
+        rows.append(e)
+        offs.append(sign * bound)
+        if rng.random() < 0.5:
+            scale = rng.choice([0.5, 2.0])
+            loose = 1e-10 if tight else rng.uniform(1e-3, 1.0)
+            rows.append(scale * e)
+            offs.append(scale * (sign * bound + loose))
+
+    for i, kind in enumerate(sides):
+        lo = rng.uniform(-2.0, 2.0)
+        hi = {"point": lo, "inverted within tol": lo - 0.3 * FEAS_TOL,
+              "inverted beyond tol": lo - 3.0 * FEAS_TOL}.get(kind, lo + rng.uniform(0.1, 2.0))
+        if kind != "upper only" and kind != "free":
+            side(i, -1.0, lo)
+        if kind != "lower only" and kind != "free":
+            side(i, 1.0, hi)
+    if not rows:
+        return np.zeros((0, d)), np.zeros(0)
+    order = rng.permutation(len(rows))
+    return np.array(rows)[order], np.array(offs)[order]
+
+
+def _objectives(rng, d: int, k: int):
+    O = rng.normal(size=(k, d))
+    O[rng.random(size=(k, d)) < 0.3] = 0.0  # zero costs on infinite sides
+    return O
+
+
+def _close(a, b, scale, slack=0.0):
+    """Equal infinities, or finite values within 1e-12 of the magnitude of
+    the terms summed, plus `slack`."""
+    if np.isinf(a) or np.isinf(b):
+        return a == b
+    return abs(a - b) <= 1e-12 * (1.0 + scale) + slack
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       sides=st.lists(st.sampled_from(SIDES), min_size=1, max_size=4),
+       tight=st.booleans())
+def test_box_lp_answers_like_the_simplex(seed, sides, tight):
+    rng = np.random.default_rng(seed)
+    d = len(sides)
+    P = Polyhedron(*_box_rows(rng, d, sides, tight), dim=d)
+    box, lp = region_lp(P), simplex.RegionLP(P.C, P.c)
+    assert isinstance(box, BoxLP)
+    # the inversion sum never exceeds the simplex's phase-1 optimum, and is
+    # that optimum when only each coordinate's tightest sides are violated
+    assert box.feasible or not lp.feasible
+    if not tight:
+        assert box.feasible == lp.feasible
+    if not lp.feasible:
+        if not box.feasible:
+            assert box.point() is None and box.minimize(np.ones(d)).status == "infeasible"
+            with pytest.raises(InfeasibleRegionError):
+                box.bounds(np.ones((1, d)))
+        return
+    assert P.contains(box.point())
+    O = _objectives(rng, d, 6)
+    mag = np.abs(P.c).max(initial=0.0) * 2.0
+    # on a box inverted within FEAS_TOL the simplex ends anywhere between the
+    # crossed sides, given a second violated row to trade against
+    inverted = "inverted within tol" in sides
+    got, want = box.bounds(O), lp.bounds(O)
+    for o, g, w in zip(O, got, want):
+        scale, slack = np.abs(o).sum() * mag, np.abs(o).sum() * FEAS_TOL * inverted
+        assert _close(g[0], w[0], scale, slack) and _close(g[1], w[1], scale, slack), (o, g, w)
+    for o in O:
+        scale, slack = np.abs(o).sum() * mag, np.abs(o).sum() * FEAS_TOL * inverted
+        res, ref = box.minimize(o), lp.minimize(o)
+        assert res.status == ref.status
+        assert _close(res.value, ref.value, scale, slack)
+        assert P.contains(res.x)
+        assert _close(box.support(o), lp.support(o), scale, slack)
+
+
+def _maxpool_net(rng):
+    return lc.Network([
+        lc.AffineLayer(rng.normal(size=(6, 3)), rng.normal(size=6)),
+        lc.MaxPoolActivation(6, [(0, 1, 2), (3, 4), (5,)]),
+        lc.AffineLayer(rng.normal(size=(4, 3)), rng.normal(size=4)),
+        lc.relu(4),
+        lc.AffineLayer(rng.normal(size=(2, 4)), rng.normal(size=2)),
+    ])
+
+
+NETS = {
+    "relu": lambda rng: random_net(rng, max_hidden=3, max_width=8, kinds=("relu",)),
+    "leaky_relu": lambda rng: random_net(rng, max_hidden=3, max_width=8, kinds=("leaky_relu",)),
+    "maxmin": lambda rng: random_net(rng, max_hidden=3, max_width=8, kinds=("maxmin",)),
+    "maxpool": _maxpool_net,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NETS))
+def test_symbolic_pass_over_a_box_matches_the_simplex(kind, monkeypatch):
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        net = NETS[kind](rng)
+        d = net.input_dim
+        lo = rng.uniform(-1.0, 0.0, size=d)
+        hi = lo + rng.uniform(0.1, 1.5, size=d)
+        for omega in (Polyhedron.from_box(lo, hi),
+                      Polyhedron.from_box(np.r_[-np.inf, lo[1:]], hi),
+                      Polyhedron.universe(d)):
+            with monkeypatch.context() as m:
+                m.setattr(polyhedra, "BoxLP", simplex.RegionLP)
+                want, want_trace = symprop_trace(net, Polyhedron(omega.C, omega.c, dim=d))
+            got, trace = symprop_trace(net, omega)
+            assert isinstance(region_lp(omega), BoxLP)
+            assert got.first_star_layer == want.first_star_layer
+            assert got.prefix.J.tobytes() == want.prefix.J.tobytes()
+            assert got.prefix.b.tobytes() == want.prefix.b.tobytes()
+            for g, w in zip(got.layers, want.layers):
+                assert np.array_equal(g.pieces, w.pieces) and g.stars == w.stars
+            for g, w in zip(trace, want_trace):
+                assert g["stars"] == w["stars"] and sorted(g["aux_bounds"]) == sorted(w["aux_bounds"])
+                for n, (glo, ghi) in g["aux_bounds"].items():
+                    wlo, whi = w["aux_bounds"][n]
+                    for a, b in ((glo, wlo), (ghi, whi)):
+                        assert a == b or abs(a - b) <= 1e-12 * abs(b), (kind, seed, n, a, b)

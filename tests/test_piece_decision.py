@@ -115,17 +115,33 @@ def test_decision_matches_per_piece_reference(kind, seed):
         assert np.array_equal(got.pieces, reference_decision(act, sub, J, b, state.pieces, None))
 
 
-@pytest.mark.parametrize("act", [lc.maxmin(4), lc.MaxPoolActivation(4, [(0, 1), (2, 3)])],
-                         ids=["maxmin", "maxpool2"])
-def test_one_direction_groups_build_only_the_region_lp(act, region_lps):
-    # each group's pieces share one row direction: its two LPs over the
-    # region decide the group, with no piece region built
-    region = lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0])
+ONE_DIRECTION = pytest.mark.parametrize(
+    "act", [lc.maxmin(4), lc.MaxPoolActivation(4, [(0, 1), (2, 3)])], ids=["maxmin", "maxpool2"])
+
+
+def _one_direction_case(act, region):
     J = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     state = analyze_activation_layer(act, region, J, np.array([0.0, 0.5, 0.0, -3.0]))
     assert state.stars  # the first group stays open
     assert state.pieces.sum() < act.piece_table().valid.sum()  # the second is decided
+
+
+@ONE_DIRECTION
+def test_one_direction_groups_build_only_the_region_lp(act, region_lps):
+    # each group's pieces share one row direction: its two LPs over the
+    # region decide the group, with no piece region built. The cut keeps the
+    # region off the closed-form box path.
+    region = stack(lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]),
+                   lc.Polyhedron([[1.0, 1.0]], [1.5]))
+    _one_direction_case(act, region)
     assert [(A.shape, list(c)) for A, c in region_lps] == [(region.C.shape, list(region.c))]
+
+
+@ONE_DIRECTION
+def test_one_direction_groups_over_a_box_build_no_simplex_lp(act, region_lps):
+    # a box region's LPs are answered in closed form
+    _one_direction_case(act, lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]))
+    assert region_lps == []
 
 
 def test_identity_layer_builds_no_lp(region_lps):

@@ -17,7 +17,7 @@ from lipcert import (
     stack,
 )
 from lipcert import simplex
-from lipcert.polyhedra import feasible_point, region_lp, support_value
+from lipcert.polyhedra import BoxLP, feasible_point, region_lp, support_value
 
 
 def test_row_normalization_and_dedup():
@@ -235,7 +235,9 @@ def test_queries_of_one_region_build_one_lp(region_lps):
 
 
 def test_kept_lp_answers_like_a_fresh_one():
-    # the kept LP serves every query in any order, bit for bit as a new one would
+    # the kept LP serves every query in any order, bit for bit as a new one
+    # would; rows with two or more non-zero entries keep the region off the
+    # closed-form box path
     rng = np.random.default_rng(23)
 
     def answers(kind, lp, cost):
@@ -249,10 +251,11 @@ def test_kept_lp_answers_like_a_fresh_one():
         return lp.point().tobytes()
 
     for _ in range(40):
-        d, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        d, m = int(rng.integers(2, 5)), int(rng.integers(1, 9))
         C = rng.normal(size=(m, d))
         P = Polyhedron(C, C @ rng.normal(size=d) + rng.uniform(-0.5, 1.0, size=m))
         kept = region_lp(P)
+        assert isinstance(kept, simplex.RegionLP)
         assert region_lp(P) is kept
         for _ in range(15):
             kind = ["minimize", "bounds", "support", "point"][int(rng.integers(4))]
@@ -269,3 +272,66 @@ def test_kept_lp_answers_like_a_fresh_one():
                 want = simplex.RegionLP(P.C, P.c).bounds(e[None])[0]
                 assert (lo[i].hex(), hi[i].hex()) == tuple(v.hex() for v in want)
         assert region_lp(P) is kept
+
+
+def test_box_regions_build_no_simplex_lp(region_lps):
+    # every row bounds one coordinate: region_lp answers in closed form
+    for P in (Polyhedron.from_box([-1.0, 0.0], [1.0, np.inf]), Polyhedron.universe(3),
+              Polyhedron([[2.0, 0.0], [1.0, 0.0]], [3.0, 1.0])):
+        lp = region_lp(P)
+        assert isinstance(lp, BoxLP) and region_lp(P) is lp
+        assert is_feasible(P) and P.contains(feasible_point(P))
+        coordinate_bounds(P)
+        linear_bounds(P, np.ones(P.dim))
+    assert region_lps == []
+
+
+def test_rowless_and_multi_entry_regions_use_the_simplex():
+    # a zero row encodes emptiness; a row over two coordinates is no box
+    assert isinstance(region_lp(Polyhedron([[0.0, 0.0]], [-1.0])), simplex.RegionLP)
+    assert isinstance(region_lp(Polyhedron([[1.0, 1.0]], [1.0])), simplex.RegionLP)
+
+
+def test_box_lp_answers():
+    P = Polyhedron.from_box([-1.0, 2.0, -np.inf], [1.0, 2.0, 0.5])
+    lp = region_lp(P)
+    np.testing.assert_array_equal(lp.point(), [0.0, 2.0, 0.0])
+    np.testing.assert_array_equal(lp.bounds([[1.0, 0.0, 0.0], [-2.0, 1.0, 0.0],
+                                             [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
+                                  [[-1.0, 1.0], [0.0, 4.0], [-np.inf, 0.5], [0.0, 0.0]])
+    res = lp.minimize([1.0, -1.0, 0.0])
+    assert res.status == "optimal" and res.value == -3.0
+    np.testing.assert_array_equal(res.x, [-1.0, 2.0, 0.0])
+    res = lp.minimize([0.0, 0.0, 1.0])
+    assert res.status == "unbounded" and res.value == -np.inf and P.contains(res.x)
+    assert lp.support([0.0, 0.0, -1.0]) == np.inf
+    empty = region_lp(Polyhedron.from_box([1.0], [0.0]))
+    assert not empty.feasible and empty.point() is None
+    assert empty.minimize([1.0]).status == "infeasible"
+    with pytest.raises(InfeasibleRegionError):
+        empty.bounds([[1.0]])
+    with pytest.raises(InfeasibleRegionError):
+        empty.support([1.0])
+
+
+@pytest.mark.parametrize("lower, upper", [
+    ([np.nan, 0.0], [1.0, 1.0]),
+    ([0.0], [np.nan]),
+    ([np.inf], [np.inf]),
+    ([-np.inf, 0.0], [-np.inf, 1.0]),
+])
+def test_from_box_rejects_invalid_sides(lower, upper):
+    # each side used to be dropped as "no constraint", which widened the box
+    # (a NaN side) or turned an empty box into the whole space (+inf, -inf)
+    with pytest.raises(ValueError):
+        Polyhedron.from_box(lower, upper)
+
+
+def test_from_box_rows_in_order():
+    # per coordinate the upper row, then the lower row; infinite sides add none
+    P = Polyhedron.from_box([-1.0, -np.inf, 0.0, 3.0], [2.0, 5.0, np.inf, 3.0])
+    assert P.C.tobytes() == np.array([[1.0, 0, 0, 0], [-1.0, 0, 0, 0], [0, 1.0, 0, 0],
+                                      [0, 0, -1.0, 0], [0, 0, 0, 1.0],
+                                      [0, 0, 0, -1.0]]).tobytes()
+    assert P.c.tobytes() == np.array([2.0, 1.0, 5.0, -0.0, 3.0, -3.0]).tobytes()
+    assert Polyhedron.from_box([-np.inf] * 2, [np.inf] * 2).m == 0
