@@ -66,7 +66,7 @@ class PieceTable(NamedTuple):
     Region rows are kept once per group, over its input columns `cols[g]`
     (padded with the column `in_width`, which reads 0): the k-th distinct
     row is `A[g, k] z[cols[g]] <= a[g, k]`. Piece p's raw rows are the rows
-    `rows[g, p]` in order (padded with -1); `need[:, g, p]` packs the same
+    `rows[g, p]` in order (padded with -1); `need[g, p]` packs the same
     set as bits, for the containment tests of `all_rows`. Normalised to unit
     length, as `Polyhedron` stores it, the k-th row is
     `D[dir[g, k]] z <= off[g, k]`. `D` holds each row direction of the table
@@ -97,17 +97,18 @@ class PieceTable(NamedTuple):
         return Polyhedron(C[:, :-1], self.a[g, k], dim=self.T.shape[3])
 
     def all_rows(self, ok: np.ndarray) -> np.ndarray:
-        """(2, groups, pieces) masks of the valid pieces all of whose rows
-        are marked in `ok`, two (groups, rows) masks stacked."""
-        bits = np.packbits(ok, axis=2).transpose(2, 0, 1)[..., None]
+        """(..., groups, pieces) masks of the valid pieces all of whose rows
+        are marked in `ok`, a stack of (groups, rows) masks."""
+        bits = np.packbits(ok, axis=-1)[..., None, :]
         # a piece passes when none of the rows it needs is missing from ok
-        return self.valid & ~(self.need[:, None] & ~bits).any(axis=0)
+        return self.valid & ~(self.need & ~bits).any(axis=-1)
 
-    def holding(self, z: np.ndarray, tol: float) -> np.ndarray:
-        """(2, groups, pieces) masks of the pieces whose rows hold at z:
-        exactly, and within tol."""
-        lhs = np.matmul(self.A, np.append(z, 0.0)[self.cols][:, :, None])[:, :, 0]
-        return self.all_rows(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1))
+    def holding(self, Z: np.ndarray, tol: float) -> np.ndarray:
+        """(2, points, groups, pieces) masks of the pieces whose rows hold at
+        each row of Z: exactly, and within tol."""
+        Z = np.column_stack([Z, np.zeros(len(Z))])
+        lhs = np.matmul(self.A, Z[:, self.cols, None])[..., 0]
+        return self.all_rows(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1, 1))
 
 
 class PwlActivation:
@@ -197,24 +198,27 @@ class PwlActivation:
             need = np.packbits((rows[..., None] == np.arange(K)).any(axis=2), axis=2)
             D = np.array([np.frombuffer(u) for u in units]).reshape(-1, self.in_width)
             table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), A, a, rows,
-                               np.moveaxis(need, 2, 0).copy(), np.concatenate([D, -D]),
+                               need, np.concatenate([D, -D]),
                                np.where(dir_ >= 0, dir_, ~dir_ + len(D)), off)
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table
         return table
 
-    def local_linearization(self, z: np.ndarray, boundary_tol: float = 1e-9):
-        """(T, t, boundary_flag): per group, the map of the lowest-index piece
-        whose rows hold at z; flagged when a second piece of some group holds
-        at z within boundary_tol."""
-        z = self._check_input(z)
+    def local_linearization(self, Z: np.ndarray, boundary_tol: float = 1e-9):
+        """(T, t, flags) at the points that are the rows of Z: per point and
+        group, the map of the lowest-index piece whose rows hold there, as
+        stacks T[i] and t[i]; flags[i] is set when a second piece of some
+        group holds at point i within boundary_tol."""
+        Z = np.asarray(Z, dtype=float)
+        if Z.ndim != 2 or Z.shape[1] != self.in_width:
+            raise ValueError(f"points must be the rows of a matrix with {self.in_width} "
+                             f"columns, got shape {Z.shape}")
         table = self.piece_table()
-        holds, near = table.holding(z, boundary_tol)
-        g, p = np.arange(len(holds)), holds.argmax(axis=1)
-        T = table.T[g, p].reshape(-1, self.in_width)[table.order]
-        t = table.t[g, p].reshape(-1)[table.order]
-        return T, t, bool((near.sum(axis=1) > 1).any())
+        holds, near = table.holding(Z, boundary_tol)
+        g, r = np.divmod(table.order, table.T.shape[2])  # each output neuron's map row
+        p = holds.argmax(axis=2)[:, g]
+        return table.T[g, p, r], table.t[g, p, r], (near.sum(axis=2) > 1).any(axis=1)
 
     def _check_neuron(self, n: int):
         if not (0 <= n < self.out_width):
@@ -310,18 +314,6 @@ class ComponentwiseActivation(PwlActivation):
 
     def activation_lipschitz(self, pair) -> float:
         return float(np.abs(self.slopes).max())
-
-    def local_linearization(self, z, boundary_tol: float = 1e-9):
-        z = self._check_input(z)
-        idx = self._piece_index(z)
-        rows = np.arange(self.in_width)
-        T = np.diag(self.slopes[rows, idx])
-        t = self.intercepts[rows, idx].copy()
-        boundary = False
-        if self.breakpoints.size:
-            gaps = np.abs(z[:, None] - self.breakpoints[None, :])
-            boundary = bool(gaps.min() <= boundary_tol)
-        return T, t, boundary
 
 
 def relu(width: int) -> ComponentwiseActivation:

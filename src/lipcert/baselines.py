@@ -4,13 +4,14 @@ from __future__ import annotations
 import numpy as np
 
 from .bnb import initial_subproblem, upper_bound
-from .exceptions import InfeasibleRegionError, SamplingError, UnsupportedNormError
+from .exceptions import InfeasibleRegionError, SamplingError, UnsupportedNormError, _integer
 from .network import Network
 from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, coordinate_bounds, is_feasible
 
 BOUNDARY_TOL = 1e-9
 DEFAULT_SAMPLE_BOX = (-10.0, 10.0)
+SAMPLE_BATCH = 32  # points drawn, and linearised together, at most per batch
 
 
 def layerwise_bound(net: Network, pair: NormPair) -> float:
@@ -42,7 +43,10 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
     unbounded coordinates fall back to default_box. Samples whose forward
     pass grazes a piece boundary are kept as samples but skipped as
     witnesses. Returns 0.0 when n_samples is 0 or every sample is flagged.
+    Points are drawn in batches that never go past the last draw one at a
+    time would make, so the result does not depend on the batch size.
     """
+    n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
     if n_samples == 0:
@@ -75,20 +79,19 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
     accepted = 0
     attempts = 0
     cap = 100 * n_samples
-    check = omega.m > 0
     while accepted < n_samples:
         if attempts >= cap:
             raise SamplingError(
                 f"rejection sampling produced {accepted}/{n_samples} points "
                 f"after {attempts} draws"
             )
-        attempts += 1
-        x = rng.uniform(lo, hi)
-        if check and not omega.contains(x):
-            continue
-        accepted += 1
-        J, flagged = net.jacobian_at(x, BOUNDARY_TOL)
-        if flagged:
-            continue
-        best = max(best, induced_norm(J, pair))
+        size = min(n_samples - accepted, cap - attempts, SAMPLE_BATCH)
+        X = rng.uniform(lo, hi, size=(size, omega.dim))
+        attempts += size
+        if omega.m > 0:
+            X = X[[omega.contains(x) for x in X]]
+        accepted += len(X)
+        Js, flagged = net.jacobian_at(X, BOUNDARY_TOL)
+        for J in Js[~flagged]:
+            best = max(best, induced_norm(J, pair))
     return best

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverError
+from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverError, _integer
 # hull is not called here; it stays importable from this module because
 # perfbench/layertrace.py rebinds it here by name.
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul  # noqa: F401
@@ -67,11 +67,12 @@ class SolverConfig:
         # written as `not x >= bound` so that NaN is rejected too
         if not self.theta >= 1.0:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
-        if self.sample_count < 0:
+        if _integer(self.sample_count, "sample_count") < 0:
             raise ValueError("sample_count must be non-negative")
+        _integer(self.seed, "seed")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be non-negative")
-        if self.max_iterations is not None and self.max_iterations < 0:
+        if self.max_iterations is not None and _integer(self.max_iterations, "max_iterations") < 0:
             raise ValueError("max_iterations must be non-negative")
 
 

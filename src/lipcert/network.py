@@ -136,23 +136,26 @@ class Network:
 
         The flag reports whether any pre-activation came within boundary_tol
         of a piece boundary, in which case the Jacobian is not trustworthy as
-        a one-sided derivative witness.
+        a one-sided derivative witness. Given points as the rows of a matrix,
+        returns the stack of their Jacobians and an array of their flags,
+        with one piece-table lookup per layer for all of them.
         """
-        v = np.asarray(x, dtype=float).reshape(-1)
-        if v.shape[0] != self.input_dim:
-            raise ValueError(f"input has dimension {v.shape[0]}, expected {self.input_dim}")
+        V = np.asarray(x, dtype=float)
+        single = V.ndim < 2
+        V = V.reshape(1, -1) if single else V
+        if V.ndim != 2 or V.shape[1] != self.input_dim:
+            raise ValueError(f"input has dimension {V.shape[-1]}, expected {self.input_dim}")
         J = None
-        flagged = False
+        flagged = np.zeros(len(V), dtype=bool)
         for aff, act in zip(self.affine, self.activations):
-            v = aff.W @ v + aff.b
+            # matrix-vector products per point, as for a single point
+            V = np.matmul(aff.W, V[..., None])[..., 0] + aff.b
             J = aff.W if J is None else aff.W @ J
-            if isinstance(act, IdentityActivation):
-                continue  # one piece, the identity map: nothing to apply
-            T, t, near = act.local_linearization(v, boundary_tol)
-            flagged = flagged or near
+            T, t, near = act.local_linearization(V, boundary_tol)
+            flagged |= near
             J = T @ J
-            v = T @ v + t
-        return J, flagged
+            V = np.matmul(T, V[..., None])[..., 0] + t
+        return (J[0], bool(flagged[0])) if single else (J, flagged)
 
 
 _ACTIVATION_FIELDS = {

@@ -102,8 +102,8 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
     Given `aux`, the star ranges of groups reading several columns go there."""
     cand = pieces & open_[:, None]
     n = len(table.D) // 2
-    used = np.unpackbits(np.bitwise_or.reduce(np.where(cand, table.need, 0), axis=2),
-                         axis=0, count=table.dir.shape[1]).T.astype(bool)
+    used = np.unpackbits(np.bitwise_or.reduce(np.where(cand[..., None], table.need, 0), axis=1),
+                         axis=1, count=table.dir.shape[1]).astype(bool)
     dirs = np.flatnonzero(np.bincount(table.dir[used] % n, minlength=n))
     sup = np.zeros(2 * n)
     if dirs.size:

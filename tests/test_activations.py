@@ -11,7 +11,6 @@ from lipcert import (
     IdentityActivation,
     MaxPoolActivation,
     NormPair,
-    PwlActivation,
     fullsort,
     groupsort,
     leaky_relu,
@@ -92,12 +91,9 @@ def test_componentwise_lowest_piece_tie_break():
     piece = lowest_piece_at(act.neuron_decomposition(0), np.array([0.0]))
     # the inactive piece comes first at the shared breakpoint
     np.testing.assert_array_equal(piece.piece.T, [[0.0]])
-    T, t, flagged = act.local_linearization(np.array([0.0]))
-    np.testing.assert_array_equal(T, [[0.0]])
-    assert flagged
-    T, t, flagged = act.local_linearization(np.array([0.5]))
-    np.testing.assert_array_equal(T, [[1.0]])
-    assert not flagged
+    T, t, flagged = act.local_linearization(np.array([[0.0], [0.5]]))
+    np.testing.assert_array_equal(T, [[[0.0]], [[1.0]]])
+    np.testing.assert_array_equal(flagged, [True, False])
 
 
 # groupsort family
@@ -165,12 +161,10 @@ def test_groupsort_lipschitz_one():
 
 def test_groupsort_local_linearization_boundary():
     act = maxmin(2)
-    T, t, flagged = act.local_linearization(np.array([1.0, 1.0]))
-    assert flagged
-    np.testing.assert_allclose(T @ np.array([1.0, 1.0]) + t, [1.0, 1.0])
-    T, t, flagged = act.local_linearization(np.array([2.0, 1.0]))
-    assert not flagged
-    np.testing.assert_array_equal(T, [[0.0, 1.0], [1.0, 0.0]])
+    T, t, flagged = act.local_linearization(np.array([[1.0, 1.0], [2.0, 1.0]]))
+    np.testing.assert_array_equal(flagged, [True, False])
+    np.testing.assert_allclose(T[0] @ np.array([1.0, 1.0]) + t[0], [1.0, 1.0])
+    np.testing.assert_array_equal(T[1], [[0.0, 1.0], [1.0, 0.0]])
 
 
 # maxpool
@@ -204,9 +198,9 @@ def test_maxpool_uncovered_inputs_are_dropped():
 
 def test_maxpool_first_argmax_tie_break():
     act = MaxPoolActivation(2, [(0, 1)])
-    T, t, flagged = act.local_linearization(np.array([1.0, 1.0]))
-    assert flagged
-    np.testing.assert_array_equal(T, [[1.0, 0.0]])
+    T, t, flagged = act.local_linearization(np.array([[1.0, 1.0]]))
+    assert flagged[0]
+    np.testing.assert_array_equal(T[0], [[1.0, 0.0]])
     assert act.activation_lipschitz(NormPair(np.inf, np.inf)) == 1.0
 
 
@@ -243,8 +237,9 @@ def test_identity():
     np.testing.assert_array_equal(act.evaluate(x), x)
     assert len(act.neuron_decomposition(1)) == 1
     assert act.activation_lipschitz(NormPair(1, 1)) == 1.0
-    _, _, flagged = act.local_linearization(x)
-    assert not flagged
+    T, t, flagged = act.local_linearization(x[None])
+    np.testing.assert_array_equal(T[0] @ x + t[0], x)
+    assert not flagged[0]
 
 
 # shared properties
@@ -288,9 +283,8 @@ def test_piece_map_matches_evaluate(act):
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_local_linearization_consistent(act):
     rng = np.random.default_rng(15)
-    for _ in range(200):
-        x = rng.normal(size=act.in_width) * 3.0
-        T, t, flagged = act.local_linearization(x)
+    X = rng.normal(size=(200, act.in_width)) * 3.0
+    for x, T, t, flagged in zip(X, *act.local_linearization(X)):
         np.testing.assert_allclose(T @ x + t, act.evaluate(x), atol=1e-9)
         if not flagged:
             # the same piece holds in a small neighborhood
@@ -300,17 +294,13 @@ def test_local_linearization_consistent(act):
                                            atol=1e-9)
 
 
-@pytest.mark.parametrize("table_path", [False, True], ids=["class", "table"])
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
-def test_local_linearization_lowest_piece_on_ties(act, table_path):
+def test_local_linearization_lowest_piece_on_ties(act):
     # integer points tie coordinates with each other and sit on the knots
-    # (-1, 0, 1), so several pieces of a group often hold at once; the table
-    # path is the base class's, which componentwise layers override
-    linearize = PwlActivation.local_linearization if table_path else type(act).local_linearization
+    # (-1, 0, 1), so several pieces of a group often hold at once
     tol = 1e-9
-    for x in itertools.product(range(-2, 3), repeat=act.in_width):
-        x = np.array(x, dtype=float)
-        T, t, flagged = linearize(act, x, tol)
+    X = np.array(list(itertools.product(range(-2, 3), repeat=act.in_width)), dtype=float)
+    for x, T, t, flagged in zip(X, *act.local_linearization(X, tol)):
         second = False
         for fixed, pieces in act.branch_groups():
             holding = [np_ for np_ in pieces if np_.region.contains(x, tol=0.0)]
@@ -325,9 +315,8 @@ def test_fullsort_seven_lowest_piece_is_stable_argsort():
     # stable argsort, and a tie is the only way a second piece holds
     act = fullsort(7)
     rng = np.random.default_rng(17)
-    for _ in range(200):
-        x = rng.integers(0, 4, size=7).astype(float)
-        T, t, flagged = act.local_linearization(x)
+    X = rng.integers(0, 4, size=(200, 7)).astype(float)
+    for x, T, t, flagged in zip(X, *act.local_linearization(X)):
         np.testing.assert_array_equal(T, np.eye(7)[np.argsort(x, kind="stable")])
         assert not t.any()
         assert flagged == (len(set(x)) < 7)

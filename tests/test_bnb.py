@@ -345,6 +345,22 @@ def test_solver_config_validation():
         SolverConfig(time_limit=float("nan"))
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SolverConfig(sample_count=2.5),
+    lambda: SolverConfig(sample_count=True),
+    lambda: SolverConfig(max_iterations=0.5),
+    lambda: SolverConfig(seed=1.5),
+    lambda: lc.sampled_lower_bound(make_abs_net(), unit_box(1), PAIR22, 2.5),
+    lambda: lc.sampled_lower_bound(make_abs_net(), unit_box(1), PAIR22, True),
+    lambda: lc.sampled_lower_bound(make_abs_net(), unit_box(1), PAIR22, 3, seed=0.5),
+], ids=["samples-fraction", "samples-bool", "iterations-fraction", "seed-fraction",
+        "sampled-fraction", "sampled-bool", "sampled-seed-fraction"])
+def test_counts_and_seeds_reject_non_integers(make):
+    # 2.5 samples drew 3 points and True drew one, without an error
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 # oracle
 
 def test_oracle_abs():

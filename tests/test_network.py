@@ -42,6 +42,24 @@ def test_jacobian_at_abs():
     assert flagged
 
 
+@pytest.mark.parametrize("kinds", [("relu", "leaky_relu", "maxmin"), ("fullsort",)])
+def test_jacobian_at_rows_equals_single_points_stacked(kinds):
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        net = random_net(rng, kinds=kinds)
+        X = rng.uniform(-1.0, 1.0, size=(7, net.input_dim))
+        # a wide tolerance, so that some points are flagged
+        J, flagged = net.jacobian_at(X, boundary_tol=0.05)
+        singles = [net.jacobian_at(x, boundary_tol=0.05) for x in X]
+        np.testing.assert_array_equal(J, [j for j, _ in singles])
+        np.testing.assert_array_equal(flagged, [f for _, f in singles])
+        assert isinstance(singles[0][1], bool)
+    empty, flags = net.jacobian_at(np.zeros((0, net.input_dim)))
+    assert empty.shape == (0, net.output_dim, net.input_dim) and flags.shape == (0,)
+    with pytest.raises(ValueError):
+        net.jacobian_at(np.zeros((2, net.input_dim + 1)))
+
+
 def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(17)
     for _ in range(10):

@@ -157,7 +157,7 @@ def test_decided_rows_match_sampled_jacobians():
                 aff = net.affine[l]
                 z = aff.W @ v + aff.b
                 act = net.activations[l]
-                T, t, flagged = act.local_linearization(z)
+                (T,), (t,), (flagged,) = act.local_linearization(z[None])
                 if flagged:
                     break
                 lam = pattern.layers[l].lam_mat
@@ -181,7 +181,7 @@ def test_star_hull_covers_sampled_rows():
                 aff = net.affine[l]
                 z = aff.W @ v + aff.b
                 act = net.activations[l]
-                T, _, flagged = act.local_linearization(z)
+                (T,), _, (flagged,) = act.local_linearization(z[None])
                 if flagged:
                     break
                 lam = pattern.layers[l].lam_mat
