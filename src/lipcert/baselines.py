@@ -56,24 +56,25 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
     if not is_feasible(omega):
         raise InfeasibleRegionError("input region is empty")
     d_lo, d_hi = float(default_box[0]), float(default_box[1])
+    if not (np.isfinite(d_lo) and np.isfinite(d_hi)):
+        raise ValueError("default sample box must be finite")
     if not d_lo < d_hi:
         raise ValueError("default sample box must have positive width")
     lo, hi = coordinate_bounds(omega)
+    finite_lo, finite_hi = np.isfinite(lo), np.isfinite(hi)
+    lo = np.where(finite_lo, lo, d_lo)
+    hi = np.where(finite_hi, hi, d_hi)
+    # a finite bound outside the default box would invert the interval;
+    # keep the finite side and restore the default width
+    inverted = lo > hi
     width = d_hi - d_lo
-    for i in range(omega.dim):
-        finite_lo = bool(np.isfinite(lo[i]))
-        finite_hi = bool(np.isfinite(hi[i]))
-        if not finite_lo:
-            lo[i] = d_lo
-        if not finite_hi:
-            hi[i] = d_hi
-        # a finite bound outside the default box would invert the interval;
-        # keep the finite side and restore the default width
-        if lo[i] > hi[i]:
-            if finite_lo and not finite_hi:
-                hi[i] = lo[i] + width
-            elif finite_hi and not finite_lo:
-                lo[i] = hi[i] - width
+    with np.errstate(over="ignore"):  # an overflow is caught just below
+        lo = np.where(inverted & finite_hi & ~finite_lo, hi - width, lo)
+        hi = np.where(inverted & finite_lo & ~finite_hi, lo + width, hi)
+        finite = np.isfinite(hi - lo).all()
+    if not finite:
+        raise SamplingError("cannot sample uniformly: the sampling box has a side "
+                            "or a width that is not finite")
     rng = np.random.default_rng(seed)
     best = 0.0
     accepted = 0
@@ -88,10 +89,9 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
         size = min(n_samples - accepted, cap - attempts, SAMPLE_BATCH)
         X = rng.uniform(lo, hi, size=(size, omega.dim))
         attempts += size
-        if omega.m > 0:
-            X = X[[omega.contains(x) for x in X]]
+        X = X[omega.contains(X)]
         accepted += len(X)
-        Js, flagged = net.jacobian_at(X, BOUNDARY_TOL)
-        for J in Js[~flagged]:
-            best = max(best, induced_norm(J, pair))
+        if len(X):
+            Js, flagged = net.jacobian_at(X, BOUNDARY_TOL)
+            best = float(induced_norm(Js[~flagged], pair).max(initial=best))
     return best

@@ -3,6 +3,11 @@
 Supported: p == q in {1, 2, inf}; p == 1 with any q (max column q-norm);
 q == inf with any p (max row dual-norm). The remaining combinations
 (inf->1, inf->2, 2->1) are NP-hard or have no closed form and are rejected.
+
+`induced_norm` takes one matrix or a stack of them (..., m, n), such as the
+Jacobians of a batch of sample points, and computes every norm of a stack in
+one numpy call: column or row vector norms for p == 1 and q == inf, and the
+largest singular value of each matrix (LAPACK) for 2->2.
 """
 from __future__ import annotations
 
@@ -67,40 +72,40 @@ class NormPair:
         return f"{_order_name(self.p)}:{_order_name(self.q)}"
 
 
-def _vector_norm(v: np.ndarray, order: float) -> float:
-    if np.isinf(order):
-        return float(np.abs(v).max()) if v.size else 0.0
-    if order == 1.0:
-        return float(np.abs(v).sum())
-    return float(np.sqrt(np.dot(v, v)))
-
-
-def _spectral_norm(A: np.ndarray) -> float:
-    """Largest singular value (LAPACK), rounded up past its rounding error.
+def _spectral_norm(A: np.ndarray):
+    """Largest singular value (LAPACK) of each matrix of the stack A, rounded
+    up past its rounding error.
 
     The computed value can sit a few units in the last place per dimension
     below the true one; a relative margin of 4 * max(m, n) machine epsilons
     keeps the result an upper bound, as the gub path needs.
     """
-    sigma = float(np.linalg.norm(A, 2))
-    return sigma * (1.0 + _SPECTRAL_SLACK * max(A.shape))
+    sigma = np.linalg.norm(A, 2, axis=(-2, -1))
+    return sigma * (1.0 + _SPECTRAL_SLACK * max(A.shape[-2:]))
 
 
-def induced_norm(A, pair: NormPair) -> float:
-    """Operator norm sup_{x != 0} ||A x||_q / ||x||_p."""
+def induced_norm(A, pair: NormPair):
+    """Operator norm sup_{x != 0} ||A x||_q / ||x||_p.
+
+    Given one (m, n) matrix, returns a float; given a stack (..., m, n),
+    returns the array of the norms of its matrices.
+    """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim {A.ndim}")
+    if A.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack of matrices, got ndim {A.ndim}")
     if not np.isfinite(A).all():
         raise ValueError("matrix entries must be finite")
     if A.size == 0:
-        return 0.0
-    if pair.p == 1.0:
-        # unit-ball vertices are signed basis vectors
-        return max(_vector_norm(A[:, j], pair.q) for j in range(A.shape[1]))
-    if np.isinf(pair.q):
-        dual = 1.0 if np.isinf(pair.p) else (2.0 if pair.p == 2.0 else float("inf"))
-        return max(_vector_norm(A[i], dual) for i in range(A.shape[0]))
-    if pair.p == 2.0 and pair.q == 2.0:
-        return _spectral_norm(A)
-    raise UnsupportedNormError(f"unsupported norm pair {pair}")
+        norms = np.zeros(A.shape[:-2])
+    elif pair.p == 1.0:
+        # unit-ball vertices are signed basis vectors: the largest column q-norm
+        norms = np.linalg.norm(A, pair.q, axis=-2).max(-1)
+    elif np.isinf(pair.q):
+        # the largest row norm in the dual of p
+        dual = 1.0 if np.isinf(pair.p) else 2.0
+        norms = np.linalg.norm(A, dual, axis=-1).max(-1)
+    elif pair.p == 2.0 and pair.q == 2.0:
+        norms = _spectral_norm(A)
+    else:
+        raise UnsupportedNormError(f"unsupported norm pair {pair}")
+    return float(norms) if A.ndim == 2 else norms

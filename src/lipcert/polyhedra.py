@@ -111,13 +111,17 @@ class Polyhedron:
         keep = np.isfinite(c)
         return cls(C[keep], c[keep], dim=d)
 
-    def contains(self, x, tol: float = FEAS_TOL) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape[0] != self.dim:
-            raise ValueError(f"point has dimension {x.shape[0]}, expected {self.dim}")
-        if self.m == 0:
-            return True
-        return bool(np.all(self.C @ x <= self.c + tol))
+    def contains(self, x, tol: float = FEAS_TOL):
+        """Whether the point x satisfies every row within tol; given points as
+        the rows of a matrix, the mask of those that do."""
+        X = np.asarray(x, dtype=float)
+        single = X.ndim < 2
+        X = X.reshape(1, -1) if single else X
+        if X.shape[-1] != self.dim:
+            raise ValueError(f"point has dimension {X.shape[-1]}, expected {self.dim}")
+        # matrix-vector products per point, as for a single point
+        inside = np.all(np.matmul(self.C, X[..., None])[..., 0] <= self.c + tol, axis=-1)
+        return bool(inside[0]) if single else inside
 
     def __repr__(self):
         return f"Polyhedron(dim={self.dim}, m={self.m})"
@@ -141,9 +145,9 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
 
 class BoxLP:
     """The LPs of a region whose rows each bound one coordinate (a box, or the
-    whole space), answered in closed form with `simplex.RegionLP`'s query
-    surface: each coordinate i lies in [lo_i, hi_i], the tightest of its
-    rows' bounds c / a.
+    whole space), answered in closed form with the queries this module asks
+    of a `simplex.RegionLP` (`feasible`, `point()` and `bounds()`): each
+    coordinate i lies in [lo_i, hi_i], the tightest of its rows' bounds c / a.
 
     The box is empty when its total inversion sum_i max(0, lo_i - hi_i)
     exceeds FEAS_TOL. That sum is the phase-1 optimum of the simplex when each
@@ -169,20 +173,6 @@ class BoxLP:
         """The point of the box nearest the origin, or None if it is empty."""
         return np.clip(0.0, self._lo, self._hi) if self.feasible else None
 
-    def minimize(self, cost) -> simplex.LpResult:
-        """min cost.x over the box, at the vertex each cost sign points to
-        (the point nearest the origin along zero costs); when unbounded, a
-        finite point of the box."""
-        cost = np.asarray(cost, dtype=float).reshape(-1)
-        if cost.shape[0] != self.dim:
-            raise ValueError("cost length does not match the variable count")
-        if not self.feasible:
-            return simplex.LpResult("infeasible", None, float("inf"))
-        value = float(self.bounds(cost[None])[0, 0])
-        x = np.where(cost > 0, self._lo, np.where(cost < 0, self._hi, np.nan))
-        x = np.where(np.isfinite(x), x, np.clip(0.0, self._lo, self._hi))
-        return simplex.LpResult("unbounded" if value == -np.inf else "optimal", x, value)
-
     def bounds(self, objectives) -> np.ndarray:
         """(inf, sup) of o.x over the box for each row o of the (k, dim) matrix
         `objectives`, as a (k, 2) array; +-inf where unbounded.
@@ -200,14 +190,6 @@ class BoxLP:
             inf = np.where(O > 0, at_lo, np.where(O < 0, at_hi, 0.0)).sum(axis=1)
             sup = np.where(O > 0, at_hi, np.where(O < 0, at_lo, 0.0)).sum(axis=1)
         return np.stack([inf, sup], axis=1)
-
-    def support(self, objective) -> float:
-        """sup of objective.x over the box (+inf if unbounded).
-
-        Raises InfeasibleRegionError when the box is empty.
-        """
-        objective = np.asarray(objective, dtype=float).reshape(1, -1)
-        return float(self.bounds(objective)[0, 1])
 
 
 def region_lp(P: Polyhedron) -> BoxLP | simplex.RegionLP:
@@ -252,7 +234,7 @@ def linear_bounds(P: Polyhedron, objective) -> tuple[float, float]:
 
 def support_value(P: Polyhedron, objective) -> float:
     """sup of objective.x over P (+inf if unbounded); P must be non-empty."""
-    return region_lp(P).support(_objective(P, objective))
+    return float(region_lp(P).bounds(_objective(P, objective)[None])[0, 1])
 
 
 def coordinate_bounds(P: Polyhedron) -> tuple[np.ndarray, np.ndarray]:

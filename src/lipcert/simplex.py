@@ -300,16 +300,6 @@ class RegionLP:
         hi = np.where(unbounded[k:], np.inf, -values[k:])
         return np.stack([lo, hi], axis=1)
 
-    def support(self, objective) -> float:
-        """sup of objective.x over the region (+inf if unbounded).
-
-        Raises InfeasibleRegionError when the region is empty.
-        """
-        if not self.feasible:
-            raise InfeasibleRegionError("support value queried on an empty region")
-        res = self.minimize(-np.asarray(objective, dtype=float).reshape(-1))
-        return float("inf") if res.status == "unbounded" else -res.value
-
 
 def solve_lp(A, b, cost) -> LpResult:
     """min cost.x subject to A x <= b, x free."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import lipcert as lc
-from lipcert import polyhedra, simplex
+from lipcert import simplex
 
 # filled by test_acceptance.py; printed after the run, one line per criterion
 ACCEPTANCE_RESULTS = {}
@@ -118,8 +118,9 @@ def sample_in_region(region: lc.Polyhedron, rng, count: int, reject_budget=100):
             pts.append(x)
     if len(pts) < count:
         verts = []
+        lp = simplex.RegionLP(region.C, region.c)
         for _ in range(max(4, 2 * region.dim)):
-            res = polyhedra.region_lp(region).minimize(rng.normal(size=region.dim))
+            res = lp.minimize(rng.normal(size=region.dim))
             if res.status == "optimal":
                 verts.append(res.x)
         if verts:

@@ -136,3 +136,16 @@ def test_sampled_lower_unbounded_uses_default_box():
     val = sampled_lower_bound(net, Polyhedron.universe(1), PAIR22, 50, seed=1,
                               default_box=(-100.0, 100.0))
     assert val == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("box", [(-np.inf, np.inf), (-np.inf, 0.0), (0.0, np.inf)])
+def test_sampled_lower_rejects_a_non_finite_default_box(box):
+    with pytest.raises(ValueError, match="finite"):
+        sampled_lower_bound(make_abs_net(), Polyhedron.universe(1), PAIR22, 10, default_box=box)
+
+
+def test_sampled_lower_overflowing_box_raises_sampling_error():
+    # both sides are finite, but their distance overflows to inf
+    with pytest.raises(SamplingError, match="not finite"):
+        sampled_lower_bound(make_abs_net(), Polyhedron.universe(1), PAIR22, 10,
+                            default_box=(-1e308, 1e308))

@@ -79,7 +79,7 @@ def test_box_lp_answers_like_the_simplex(seed, sides, tight):
         assert box.feasible == lp.feasible
     if not lp.feasible:
         if not box.feasible:
-            assert box.point() is None and box.minimize(np.ones(d)).status == "infeasible"
+            assert box.point() is None
             with pytest.raises(InfeasibleRegionError):
                 box.bounds(np.ones((1, d)))
         return
@@ -93,13 +93,6 @@ def test_box_lp_answers_like_the_simplex(seed, sides, tight):
     for o, g, w in zip(O, got, want):
         scale, slack = np.abs(o).sum() * mag, np.abs(o).sum() * FEAS_TOL * inverted
         assert _close(g[0], w[0], scale, slack) and _close(g[1], w[1], scale, slack), (o, g, w)
-    for o in O:
-        scale, slack = np.abs(o).sum() * mag, np.abs(o).sum() * FEAS_TOL * inverted
-        res, ref = box.minimize(o), lp.minimize(o)
-        assert res.status == ref.status
-        assert _close(res.value, ref.value, scale, slack)
-        assert P.contains(res.x)
-        assert _close(box.support(o), lp.support(o), scale, slack)
 
 
 def _maxpool_net(rng):

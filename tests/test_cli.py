@@ -225,3 +225,16 @@ def test_module_entrypoint_subprocess(abs_model):
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["status"] == "exact"
+
+
+@pytest.mark.parametrize("flags", [["--global", "--sample-box=-inf,inf"], ["--box=-1e308,1e308"]])
+def test_bounds_non_finite_sampling_box_exits_with_a_message(abs_model, flags):
+    # an infinite fallback box, or a box whose width overflows, cannot be
+    # sampled uniformly: the CLI says so instead of printing a traceback
+    proc = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "bounds", "--model", abs_model, *flags,
+         "--samples", "10"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("lipcert: ")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lipcert as lc
 from lipcert import NormPair, UnsupportedNormError, induced_norm
@@ -153,3 +155,72 @@ def test_spectral_never_below_lapack_on_close_top_singular_values():
     assert res.status == "exact"
     assert res.gub >= sigma
     assert res.gub == pytest.approx(sigma, rel=1e-13)
+
+
+def per_matrix_norm(A, pair):
+    """`induced_norm` of one matrix as it was computed before stacks: one
+    vector norm per column (p == 1) or row (q == inf) in a Python loop, and
+    LAPACK's spectral norm for 2->2."""
+
+    def vector_norm(v, order):
+        if np.isinf(order):
+            return float(np.abs(v).max()) if v.size else 0.0
+        if order == 1.0:
+            return float(np.abs(v).sum())
+        return float(np.sqrt(np.dot(v, v)))
+
+    if A.size == 0:
+        return 0.0
+    if pair.p == 1.0:
+        return max(vector_norm(A[:, j], pair.q) for j in range(A.shape[1]))
+    if np.isinf(pair.q):
+        dual = 1.0 if np.isinf(pair.p) else 2.0
+        return max(vector_norm(A[i], dual) for i in range(A.shape[0]))
+    sigma = float(np.linalg.norm(A, 2))
+    return sigma * (1.0 + 4.0 * np.finfo(float).eps * max(A.shape))
+
+
+# max and LAPACK per matrix: the same floats; the other pairs sum a column
+# or a row in another order, within one rounding per term summed
+EXACT_PAIRS = [NormPair(2, 2), NormPair(np.inf, np.inf), NormPair(1, np.inf)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(0, 40), m=st.integers(1, 12),
+       n=st.integers(1, 12), shape=st.sampled_from(["m x n", "1 x n", "m x 1", "200 x 200"]))
+def test_stacked_norms_equal_the_per_matrix_loop(seed, k, m, n, shape):
+    rng = np.random.default_rng(seed)
+    if shape == "200 x 200":
+        m, n, k = 200, 200, min(k, 2)
+    m, n = {"1 x n": (1, n), "m x 1": (m, 1)}.get(shape, (m, n))
+    A = rng.normal(size=(k, m, n)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(k, 1, 1))
+    A[rng.random(k) < 0.2] = 0.0  # zero matrices
+    for pair in PAIRS:
+        got = induced_norm(A, pair)
+        assert isinstance(got, np.ndarray) and got.shape == (k,)
+        summed = m if pair.p == 1.0 else n
+        for g, M in zip(got, A):
+            want = per_matrix_norm(M, pair)
+            if pair in EXACT_PAIRS:
+                assert float(g).hex() == want.hex(), (pair, M.shape)
+            else:
+                assert abs(g - want) <= summed * np.finfo(float).eps * want, (pair, M.shape)
+            one = induced_norm(M, pair)
+            assert type(one) is float and one == g
+
+
+def test_stacks_of_any_leading_shape_and_zero_size_matrices():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(2, 3, 4, 5))
+    for pair in PAIRS:
+        got = induced_norm(A, pair)
+        assert got.shape == (2, 3)
+        np.testing.assert_array_equal(got[1], induced_norm(A[1], pair))
+        for empty in ((0, 4, 5), (3, 0, 5), (3, 4, 0)):
+            np.testing.assert_array_equal(induced_norm(np.zeros(empty), pair),
+                                          np.zeros(empty[0]))
+        assert induced_norm(np.zeros((0, 5)), pair) == 0.0
+    with pytest.raises(ValueError):
+        induced_norm(np.ones(3), NormPair(2, 2))
+    with pytest.raises(ValueError):
+        induced_norm(np.full((2, 2, 2), np.inf), NormPair(2, 2))

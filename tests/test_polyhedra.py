@@ -246,8 +246,6 @@ def test_kept_lp_answers_like_a_fresh_one():
             return res.status, float(res.value).hex(), None if res.x is None else res.x.tobytes()
         if kind == "bounds":
             return tuple(float(v).hex() for v in lp.bounds(cost[None])[0])
-        if kind == "support":
-            return float(lp.support(cost)).hex()
         return lp.point().tobytes()
 
     for _ in range(40):
@@ -264,6 +262,12 @@ def test_kept_lp_answers_like_a_fresh_one():
             if not fresh.feasible:
                 assert not is_feasible(P) and feasible_point(P) is None
                 assert kept.minimize(cost).status == "infeasible"
+                continue
+            if kind == "support":
+                # the sup of cost.x is -min(-cost.x) of a fresh LP
+                res = fresh.minimize(-cost)
+                want = np.inf if res.status == "unbounded" else -res.value
+                assert support_value(P, cost).hex() == float(want).hex()
                 continue
             assert answers(kind, kept, cost) == answers(kind, fresh, cost)
         if kept.feasible:
@@ -299,19 +303,15 @@ def test_box_lp_answers():
     np.testing.assert_array_equal(lp.bounds([[1.0, 0.0, 0.0], [-2.0, 1.0, 0.0],
                                              [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]]),
                                   [[-1.0, 1.0], [0.0, 4.0], [-np.inf, 0.5], [0.0, 0.0]])
-    res = lp.minimize([1.0, -1.0, 0.0])
-    assert res.status == "optimal" and res.value == -3.0
-    np.testing.assert_array_equal(res.x, [-1.0, 2.0, 0.0])
-    res = lp.minimize([0.0, 0.0, 1.0])
-    assert res.status == "unbounded" and res.value == -np.inf and P.contains(res.x)
-    assert lp.support([0.0, 0.0, -1.0]) == np.inf
-    empty = region_lp(Polyhedron.from_box([1.0], [0.0]))
+    assert support_value(P, [-1.0, 1.0, 0.0]) == 3.0
+    assert support_value(P, [0.0, 0.0, -1.0]) == np.inf
+    E = Polyhedron.from_box([1.0], [0.0])
+    empty = region_lp(E)
     assert not empty.feasible and empty.point() is None
-    assert empty.minimize([1.0]).status == "infeasible"
     with pytest.raises(InfeasibleRegionError):
         empty.bounds([[1.0]])
     with pytest.raises(InfeasibleRegionError):
-        empty.support([1.0])
+        support_value(E, [1.0])
 
 
 @pytest.mark.parametrize("lower, upper", [
@@ -325,6 +325,32 @@ def test_from_box_rejects_invalid_sides(lower, upper):
     # (a NaN side) or turned an empty box into the whole space (+inf, -inf)
     with pytest.raises(ValueError):
         Polyhedron.from_box(lower, upper)
+
+
+def test_contains_on_rows_equals_per_point_contains():
+    # points drawn at random, on a face, and half a tol inside and one and two
+    # tols beyond it; each row of the mask is the per-point answer, and that
+    # answer is the single-point formula C @ x <= c + tol
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        d, m = int(rng.integers(1, 5)), int(rng.integers(0, 7))
+        C = rng.normal(size=(m, d))
+        P = Polyhedron(C, C @ rng.normal(size=d) + rng.uniform(0.0, 1.0, size=m), dim=d)
+        X = [rng.normal(size=(20, d))]
+        for a, c in zip(P.C, P.c):
+            on = rng.normal(size=(4, d))
+            on += np.outer(c - on @ a, a)  # rows of P.C have unit norm
+            X += [on + np.outer(t, a) for t in (0.0, -0.5e-9, 1e-9, 2e-9)]
+        X = np.concatenate(X)
+        for tol in (0.0, 1e-9, 1e-6):
+            mask = P.contains(X, tol)
+            assert mask.dtype == bool and mask.shape == (len(X),)
+            assert mask.tolist() == [P.contains(x, tol) for x in X]
+            assert mask.tolist() == [bool(np.all(P.C @ x <= P.c + tol)) for x in X]
+        assert P.contains(np.zeros((0, d))).shape == (0,)
+    assert Polyhedron.universe(3).contains(rng.normal(size=(5, 3))).all()
+    with pytest.raises(ValueError):
+        Polyhedron.universe(3).contains(np.zeros((5, 2)))
 
 
 def test_from_box_rows_in_order():

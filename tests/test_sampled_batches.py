@@ -12,13 +12,9 @@ COUNTS = [SAMPLE_BATCH - 1, 2 * SAMPLE_BATCH, 2 * SAMPLE_BATCH + 1]
 
 
 def per_point_sampled_bound(net, omega, pair, n_samples, seed=0, default_box=(-10.0, 10.0)):
-    """One draw, one containment test and one `jacobian_at` per point.
-
-    The box logic is the sampler's for regions whose sides are all finite
-    or all infinite, the only ones used here."""
-    lo, hi = lc.coordinate_bounds(omega)
-    lo = np.where(np.isfinite(lo), lo, default_box[0])
-    hi = np.where(np.isfinite(hi), hi, default_box[1])
+    """One draw, one containment test and one `jacobian_at` per point, from
+    the box the sampler's loop over coordinates built."""
+    lo, hi = per_coordinate_box(omega, default_box)
     rng = np.random.default_rng(seed)
     best, accepted, attempts, cap = 0.0, 0, 0, 100 * n_samples
     while accepted < n_samples:
@@ -34,6 +30,26 @@ def per_point_sampled_bound(net, omega, pair, n_samples, seed=0, default_box=(-1
         if not flagged:
             best = max(best, induced_norm(J, pair))
     return best
+
+
+def per_coordinate_box(omega, default_box):
+    """The sampling box as the sampler built it one coordinate at a time."""
+    d_lo, d_hi = float(default_box[0]), float(default_box[1])
+    lo, hi = lc.coordinate_bounds(omega)
+    width = d_hi - d_lo
+    for i in range(omega.dim):
+        finite_lo = bool(np.isfinite(lo[i]))
+        finite_hi = bool(np.isfinite(hi[i]))
+        if not finite_lo:
+            lo[i] = d_lo
+        if not finite_hi:
+            hi[i] = d_hi
+        if lo[i] > hi[i]:
+            if finite_lo and not finite_hi:
+                hi[i] = lo[i] + width
+            elif finite_hi and not finite_lo:
+                lo[i] = hi[i] - width
+    return lo, hi
 
 
 def _act(kind, width):
@@ -120,3 +136,33 @@ def test_batched_sampler_reports_the_same_counts_when_the_cap_fires():
         with pytest.raises(SamplingError) as got:
             lc.sampled_lower_bound(net, slab, PAIRS[0], n, seed)
         assert str(got.value) == str(want.value)
+
+
+# half-infinite regions whose finite side lies outside the default box: the
+# box keeps the finite side and the default width
+HALF_INFINITE = {
+    "x >= 20": (Polyhedron([[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]], [-20.0, 1.0, 1.0]),
+                [[20.0, -1.0], [40.0, 1.0]]),
+    "x <= -20": (Polyhedron([[1.0, 0.0]], [-20.0]), [[-40.0, -10.0], [-20.0, 10.0]]),
+    "x >= 20, y <= -20": (Polyhedron([[-1.0, 0.0], [0.0, 1.0]], [-20.0, -20.0]),
+                          [[20.0, -40.0], [40.0, -20.0]]),
+    "x >= 3, y <= 12": (Polyhedron([[-1.0, 0.0], [0.0, 1.0]], [-3.0, 12.0]),
+                        [[3.0, -10.0], [10.0, 12.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HALF_INFINITE))
+def test_fallback_box_of_half_infinite_regions_is_the_per_coordinate_loops(name):
+    region, want = HALF_INFINITE[name]
+    np.testing.assert_array_equal(per_coordinate_box(region, (-10.0, 10.0)), want)
+    net, points = _recording(_net("relu"))
+    for pair in PAIRS:
+        points.clear()
+        got = lc.sampled_lower_bound(net, region, pair, 2 * SAMPLE_BATCH + 1, seed=5)
+        batched = np.concatenate(points)
+        points.clear()
+        assert got.hex() == per_point_sampled_bound(
+            net, region, pair, 2 * SAMPLE_BATCH + 1, seed=5).hex()
+        # the same draws from the same box
+        np.testing.assert_array_equal(batched, np.concatenate(points))
+        assert (batched >= np.array(want[0])).all() and (batched <= np.array(want[1])).all()
