@@ -5,10 +5,13 @@ Every activation states its pieces once, in `group_pieces`: per branch group
 `C z <= c` covering the layer's input space, and on each the group's affine
 map `T z + t`. The base class derives every other view from that list and
 keeps it: `branch_groups` (`NeuronPiece` objects for the oracle),
-`neuron_decomposition`, `piece_table` (padded arrays for the analysis of
-every activation and for branching) and the point linearisation. The piece
-list order is part of the deterministic contract: ties are always resolved
-toward the lowest piece index.
+`neuron_decomposition`, `piece_table` and the point linearisation. The piece
+table holds every region row once, normalised to unit length; the analysis
+of every activation, the cut of a region by a piece (`PieceTable.cut`) and
+the point linearisation all read those rows, so a tolerance on a row is a
+Euclidean distance for every activation. The piece list order is part of
+the deterministic contract: ties are always resolved toward the lowest
+piece index.
 """
 from __future__ import annotations
 
@@ -63,17 +66,17 @@ class PieceTable(NamedTuple):
     `T[g, p]`, `t[g, p]` hold the piece's map rows and offsets, zero-padded
     to the largest group; `valid[g, p]` marks the pieces that exist. Neuron
     n's map row is at flat position `order[n]` of a (groups, rows) array.
-    Region rows are kept once per group, over its input columns `cols[g]`
-    (padded with the column `in_width`, which reads 0): the k-th distinct
-    row is `A[g, k] z[cols[g]] <= a[g, k]`. Piece p's raw rows are the rows
-    `rows[g, p]` in order (padded with -1); `need[g, p]` packs the same
-    set as bits, for the containment tests of `all_rows`. Normalised to unit
-    length, as `Polyhedron` stores it, the k-th row is
-    `D[dir[g, k]] z <= off[g, k]`. `D` holds each row direction of the table
-    once, with its first non-zero entry positive, followed by the same
-    directions negated: for n = len(D) // 2, `D[j + n] = -D[j]`. So the
-    sup of a row over a set is the sup of its direction or minus the inf,
-    and one pair of LPs per direction decides every row along it.
+    `cols[g]` lists the input columns group g's rows read (padded with the
+    column `in_width`). Region rows are kept once per group, normalised to
+    unit length as `Polyhedron` stores them: the k-th distinct row is
+    `D[dir[g, k]] z <= off[g, k]`, and piece p's rows are the rows
+    `rows[g, p]` in order (padded with -1); `need[g, p]` packs the same set
+    as bits, for the containment tests of `all_rows`. `D` holds each row
+    direction of the table once, with its first non-zero entry positive,
+    followed by the same directions negated: for n = len(D) // 2,
+    `D[j + n] = -D[j]`. So the sup of a row over a set is the sup of its
+    direction or minus the inf, and one pair of LPs per direction decides
+    every row along it.
     """
 
     T: np.ndarray
@@ -81,20 +84,18 @@ class PieceTable(NamedTuple):
     valid: np.ndarray
     order: np.ndarray
     cols: np.ndarray
-    A: np.ndarray
-    a: np.ndarray
     rows: np.ndarray
     need: np.ndarray
     D: np.ndarray
     dir: np.ndarray
     off: np.ndarray
 
-    def region(self, g: int, p: int) -> Polyhedron:
-        """Piece p of group g's region, from the same raw rows as the piece."""
+    def cut(self, g: int, p: int, region: Polyhedron, J, b) -> Polyhedron:
+        """{x in region : J x + b in piece p of group g}, built in one call."""
         k = self.rows[g, p][self.rows[g, p] >= 0]
-        C = np.zeros((len(k), self.T.shape[3] + 1))
-        C[:, self.cols[g]] = self.A[g, k]
-        return Polyhedron(C[:, :-1], self.a[g, k], dim=self.T.shape[3])
+        U = self.D[self.dir[g, k]]
+        return Polyhedron(np.vstack([region.C, U @ J]),
+                          np.concatenate([region.c, self.off[g, k] - U @ b]))
 
     def all_rows(self, ok: np.ndarray) -> np.ndarray:
         """(..., groups, pieces) masks of the valid pieces all of whose rows
@@ -105,10 +106,11 @@ class PieceTable(NamedTuple):
 
     def holding(self, Z: np.ndarray, tol: float) -> np.ndarray:
         """(2, points, groups, pieces) masks of the pieces whose rows hold at
-        each row of Z: exactly, and within tol."""
-        Z = np.column_stack([Z, np.zeros(len(Z))])
-        lhs = np.matmul(self.A, Z[:, self.cols, None])[..., 0]
-        return self.all_rows(lhs <= self.a + np.array([0.0, tol]).reshape(2, 1, 1, 1))
+        each row of Z: exactly, and within Euclidean distance tol."""
+        # matrix-vector products per point, as for a single point
+        lhs = np.matmul(self.D[:len(self.D) // 2], Z[..., None])[..., 0]
+        lhs = np.concatenate([lhs, -lhs], axis=1)[:, self.dir]
+        return self.all_rows(lhs <= self.off + np.array([0.0, tol]).reshape(2, 1, 1, 1))
 
 
 class PwlActivation:
@@ -176,17 +178,14 @@ class PwlActivation:
                 raw = np.concatenate(Cs)
                 cols.append(np.flatnonzero((raw != 0).any(axis=0)))
                 raw = np.column_stack([raw[:, cols[g]], np.concatenate(cs)])
-                first = {}  # distinct by exact bytes, so that every piece keeps its raw rows
+                first = {}  # distinct by exact bytes
                 index = np.array([first.setdefault(r.tobytes(), len(first)) for r in raw], dtype=int)
                 for p, k in enumerate(np.split(index, np.cumsum([len(C) for C in Cs])[:-1])):
                     rows[g, p, :len(k)] = k
                 distinct.append(np.array([np.frombuffer(r) for r in first]).reshape(-1, raw.shape[1]))
             K, S = max(map(len, distinct)), max(1, max(map(len, cols)))
-            A, a = np.zeros((G, K, S)), np.zeros((G, K))
             units, dir_, off = {}, np.zeros((G, K), dtype=int), np.zeros((G, K))
             for g, rows_g in enumerate(distinct):
-                A[g, :len(rows_g), :len(cols[g])] = rows_g[:, :-1]
-                a[g, :len(rows_g)] = rows_g[:, -1]
                 norm = np.linalg.norm(rows_g[:, :-1], axis=1)
                 off[g, :len(rows_g)] = rows_g[:, -1] / norm
                 for k, u in enumerate(rows_g[:, :-1] / norm[:, None]):
@@ -197,7 +196,7 @@ class PwlActivation:
                 cols[g] = np.append(cols[g], [self.in_width] * (S - len(cols[g])))
             need = np.packbits((rows[..., None] == np.arange(K)).any(axis=2), axis=2)
             D = np.array([np.frombuffer(u) for u in units]).reshape(-1, self.in_width)
-            table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), A, a, rows,
+            table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), rows,
                                need, np.concatenate([D, -D]),
                                np.where(dir_ >= 0, dir_, ~dir_ + len(D)), off)
             for arr in table:
@@ -209,7 +208,8 @@ class PwlActivation:
         """(T, t, flags) at the points that are the rows of Z: per point and
         group, the map of the lowest-index piece whose rows hold there, as
         stacks T[i] and t[i]; flags[i] is set when a second piece of some
-        group holds at point i within boundary_tol."""
+        group holds at point i within boundary_tol, a Euclidean distance to
+        each of its rows' hyperplanes."""
         Z = np.asarray(Z, dtype=float)
         if Z.ndim != 2 or Z.shape[1] != self.in_width:
             raise ValueError(f"points must be the rows of a matrix with {self.in_width} "

@@ -75,6 +75,8 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
     if not finite:
         raise SamplingError("cannot sample uniformly: the sampling box has a side "
                             "or a width that is not finite")
+    # a region inverted by less than FEAS_TOL is not empty; its points lie at lo
+    hi = np.maximum(hi, lo)
     rng = np.random.default_rng(seed)
     best = 0.0
     accepted = 0

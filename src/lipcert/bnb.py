@@ -170,7 +170,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     children = []
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):
-        reg = stack(sub.region, affine_preimage(table.region(g, p), sub.prefix.J, sub.prefix.b))
+        reg = table.cut(g, p, sub.region, sub.prefix.J, sub.prefix.b)
         if not is_feasible(reg):
             continue
         pieces = state.pieces.copy()

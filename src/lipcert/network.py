@@ -134,11 +134,12 @@ class Network:
     def jacobian_at(self, x, boundary_tol: float = 1e-9):
         """(J, boundary_flag): Jacobian of the lowest-index piece selection at x.
 
-        The flag reports whether any pre-activation came within boundary_tol
-        of a piece boundary, in which case the Jacobian is not trustworthy as
-        a one-sided derivative witness. Given points as the rows of a matrix,
-        returns the stack of their Jacobians and an array of their flags,
-        with one piece-table lookup per layer for all of them.
+        The flag reports whether any pre-activation came within Euclidean
+        distance boundary_tol of a piece boundary, in which case the Jacobian
+        is not trustworthy as a one-sided derivative witness. Given points
+        as the rows of a matrix, returns the stack of their Jacobians and an
+        array of their flags, with one piece-table lookup per layer for all
+        of them.
         """
         V = np.asarray(x, dtype=float)
         single = V.ndim < 2

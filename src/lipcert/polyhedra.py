@@ -24,12 +24,12 @@ _ZERO_ROW_TOL = 1e-12
 class Polyhedron:
     """Closed region {x : C x <= c} in R^dim; zero constraint rows mean all of R^dim.
 
-    Rows are normalized to unit Euclidean norm at construction and exact
-    duplicates are dropped, which keeps repeatedly stacked systems from
-    accumulating copies of the same constraint. Rows that reduce to
-    0.x <= c with c >= 0 are vacuous and removed; with c < 0 they are kept
-    and encode infeasibility (the LP detects it). The region's LP is built on
-    first use by `region_lp` and kept with it.
+    Rows are normalized to unit Euclidean norm at construction, so a
+    tolerance on a row (as in `contains`) is a distance to its hyperplane.
+    Rows that reduce to 0.x <= c with c >= 0 are vacuous and removed; with
+    c < 0 they are kept and encode infeasibility (the LP detects it). Every
+    other row is kept as given, duplicates included. The region's LP is built
+    on first use by `region_lp` and kept with it.
     """
 
     __slots__ = ("C", "c", "dim", "_lp")
@@ -66,15 +66,6 @@ class Polyhedron:
         keep = big | (c < 0.0)
         C = C[keep]
         c = c[keep]
-        if C.shape[0] > 1:
-            # first occurrence of each row, in order; + 0.0 turns -0.0 into
-            # 0.0 so that rows equal in value have equal bytes
-            first = {}
-            for i, row in enumerate(np.hstack([C, c[:, None]]) + 0.0):
-                first.setdefault(row.tobytes(), i)
-            order = list(first.values())
-            C = C[order]
-            c = c[order]
         C.setflags(write=False)
         c.setflags(write=False)
         self.C = C
@@ -166,7 +157,8 @@ class BoxLP:
         np.maximum.at(lo, j[~upper], bound[~upper])
         np.minimum.at(hi, j[upper], bound[upper])
         self.dim = dim
-        self.feasible = bool(np.maximum(lo - hi, 0.0).sum() <= FEAS_TOL)
+        with np.errstate(over="ignore"):  # sides near +-1.8e308: inf is the outward sum
+            self.feasible = bool(np.maximum(lo - hi, 0.0).sum() <= FEAS_TOL)
         self._lo, self._hi = lo, hi
 
     def point(self) -> np.ndarray | None:
@@ -184,8 +176,9 @@ class BoxLP:
         O = np.asarray(objectives, dtype=float)
         if O.ndim != 2 or O.shape[1] != self.dim:
             raise ValueError("objectives must be a matrix with one column per variable")
-        # a zero coefficient times an infinite side is NaN, and is masked to 0
-        with np.errstate(invalid="ignore"):
+        # a zero coefficient times an infinite side is NaN, and is masked to 0;
+        # a product or sum past the float range is +-inf, the outward answer
+        with np.errstate(invalid="ignore", over="ignore"):
             at_lo, at_hi = O * self._lo, O * self._hi
             inf = np.where(O > 0, at_lo, np.where(O < 0, at_hi, 0.0)).sum(axis=1)
             sup = np.where(O > 0, at_hi, np.where(O < 0, at_lo, 0.0)).sum(axis=1)

@@ -41,8 +41,9 @@ from .activations import PieceTable, PwlActivation
 from .exceptions import InfeasibleRegionError, LpSolverError
 from .intervals import owned_interval
 from .network import LinearPrefix, Network
-# linear_bounds and support_value are not called here; they stay importable
-# from this module because perfbench/layertrace.py rebinds them here by name.
+# affine_preimage, linear_bounds, stack and support_value are not called here;
+# they stay importable from this module because perfbench/layertrace.py
+# rebinds them here by name.
 from .polyhedra import (  # noqa: F401
     FEAS_TOL,
     Polyhedron,
@@ -131,7 +132,7 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
             lp_ranges = aux is not None and columns[g] > 1
             regions = {}
             for p in np.flatnonzero(keep[g] & (joint[g] | lp_ranges)):
-                regions[p] = stack(region, affine_preimage(table.region(g, p), J, b))
+                regions[p] = table.cut(g, p, region, J, b)
                 keep[g, p] = is_feasible(regions[p])
             if not lp_ranges:
                 continue

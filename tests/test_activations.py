@@ -324,20 +324,61 @@ def test_fullsort_seven_lowest_piece_is_stable_argsort():
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_piece_table_regions_match_branch_groups(act):
-    # branch builds regions from the table, and the analysis reads the same
-    # normalised rows as directions and offsets: they must carry the same bits
+    # the analysis and the cut read the table's normalised rows as
+    # directions and offsets: they carry the same bits as the pieces' regions
     table = act.piece_table()
     n = len(table.D) // 2
     np.testing.assert_array_equal(table.D[n:], -table.D[:n])
     assert all(row[np.flatnonzero(row)[0]] > 0 for row in table.D[:n])
+    w = act.in_width
     for g, (_, pieces) in enumerate(act.branch_groups()):
         for p, np_ in enumerate(pieces):
-            region = table.region(g, p)
-            np.testing.assert_array_equal(region.C, np_.region.C)
-            np.testing.assert_array_equal(region.c, np_.region.c)
             k = table.rows[g, p][table.rows[g, p] >= 0]
-            np.testing.assert_array_equal(table.D[table.dir[g, k]].reshape(region.C.shape), region.C)
-            np.testing.assert_array_equal(table.off[g, k], region.c)
+            np.testing.assert_array_equal(table.D[table.dir[g, k]].reshape(np_.region.C.shape),
+                                          np_.region.C)
+            np.testing.assert_array_equal(table.off[g, k], np_.region.c)
+            # through the identity map, the cut of the whole space is the
+            # piece's region, its rows normalised once more by the constructor
+            region = table.cut(g, p, lc.Polyhedron.universe(w), np.eye(w), np.zeros(w))
+            again = lc.Polyhedron(np_.region.C, np_.region.c)
+            np.testing.assert_array_equal(region.C, again.C)
+            np.testing.assert_array_equal(region.c, again.c)
+
+
+@pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
+def test_cut_agrees_with_stacked_preimage(act):
+    # a region cut by a piece pulled back through x -> J x + b: the table's
+    # one-call cut and the stack of the piece region's preimage agree
+    rng = np.random.default_rng(41)
+    table = act.piece_table()
+    checked = 0
+    for _ in range(6):
+        d = int(rng.integers(1, 4))
+        R = lc.Polyhedron(rng.normal(size=(d + 3, d)), rng.uniform(0.5, 2.0, size=d + 3))
+        J, b = rng.normal(size=(act.in_width, d)), rng.normal(size=act.in_width)
+        for g, (_, pieces) in enumerate(act.branch_groups()):
+            for p, np_ in enumerate(pieces):
+                cut = table.cut(g, p, R, J, b)
+                ref = lc.stack(R, lc.affine_preimage(np_.region, J, b))
+                assert lc.is_feasible(cut) == lc.is_feasible(ref)
+                if not lc.is_feasible(ref):
+                    continue
+                checked += 1
+                for o in rng.normal(size=(3, d)):
+                    np.testing.assert_allclose(lc.linear_bounds(cut, o), lc.linear_bounds(ref, o),
+                                               rtol=1e-12)
+    assert checked
+
+
+def test_boundary_tol_is_a_euclidean_distance():
+    # MaxMin's rows z0 - z1 <= 0 and z1 - z0 <= 0 have length sqrt(2); a
+    # point is flagged when it lies within boundary_tol of the line z0 = z1
+    act = maxmin(2)
+    tol = 1e-3
+    normal = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    Z = np.array([0.3, 0.3]) + np.outer([0.9 * tol, 1.1 * tol], normal)
+    _, _, flagged = act.local_linearization(Z, boundary_tol=tol)
+    np.testing.assert_array_equal(flagged, [True, False])
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))

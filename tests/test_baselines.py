@@ -149,3 +149,15 @@ def test_sampled_lower_overflowing_box_raises_sampling_error():
     with pytest.raises(SamplingError, match="not finite"):
         sampled_lower_bound(make_abs_net(), Polyhedron.universe(1), PAIR22, 10,
                             default_box=(-1e308, 1e308))
+
+
+def test_sampler_on_a_box_inverted_within_the_feasibility_tolerance():
+    # is_feasible accepts a side inverted by less than FEAS_TOL; the draws
+    # then sit on its lower side, which the region contains within FEAS_TOL
+    net = Network([AffineLayer([[1.0, 2.0], [3.0, -1.0]], [0.0, 0.0]), lc.relu(2),
+                   AffineLayer([[1.0, 1.0]], [0.0])])
+    omega = Polyhedron.from_box([1.0, -1.0], [1.0 - 5e-10, 1.0])
+    glb = sampled_lower_bound(net, omega, PAIR22, 10, seed=0)
+    assert glb > 0.0
+    res = solve(net, omega, lc.SolverConfig(sample_count=10))
+    assert res.glb <= res.gub

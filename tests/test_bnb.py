@@ -144,6 +144,25 @@ def test_branch_derives_each_child_state_once(monkeypatch):
     assert len(built) == len(children)
 
 
+def test_branch_builds_one_region_per_child_tested(monkeypatch):
+    # each piece the split group keeps is tested on a child region built by
+    # one constructor call; ReLU re-filtering builds no further region
+    net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.relu(2),
+                   AffineLayer([[1.0, 1.0]], [0.0])])
+    root = initial_subproblem(net, unit_box(2))
+    built = []
+    init = Polyhedron.__init__
+
+    def counting_init(self, C, c, dim=None):
+        built.append(C)
+        init(self, C, c, dim)
+
+    monkeypatch.setattr(Polyhedron, "__init__", counting_init)
+    children, _ = branch(root, net, 0.0, PAIR22)
+    assert len(children) == 2
+    assert len(built) == 2
+
+
 def test_branch_child_bounds_never_exceed_parent():
     rng = np.random.default_rng(24)
     for _ in range(15):

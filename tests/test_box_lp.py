@@ -140,3 +140,16 @@ def test_symbolic_pass_over_a_box_matches_the_simplex(kind, monkeypatch):
                     wlo, whi = w["aux_bounds"][n]
                     for a, b in ((glo, wlo), (ghi, whi)):
                         assert a == b or abs(a - b) <= 1e-12 * abs(b), (kind, seed, n, a, b)
+
+
+def test_sides_near_the_float_range_answer_without_overflow_warnings():
+    # the suite turns warnings into errors: an inversion sum or an objective
+    # past the float range is +-inf, the outward answer, and warns nothing
+    B = Polyhedron.from_box([-1e308] * 2, [1e308] * 2)
+    assert lc.is_feasible(B)
+    lo, hi = lc.coordinate_bounds(B)
+    assert (lo == -1e308).all() and (hi == 1e308).all()
+    net = lc.Network([lc.AffineLayer([[2.0, 1.0], [-3.0, 1.0]], [0.0, 0.0]), lc.relu(2),
+                      lc.AffineLayer([[1.0, 1.0]], [0.0])])
+    assert np.isfinite(lc.symprop_bound(net, B, lc.NormPair(2, 2)))
+    assert not lc.is_feasible(Polyhedron.from_box([1e308], [-1e308]))

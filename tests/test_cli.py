@@ -238,3 +238,18 @@ def test_bounds_non_finite_sampling_box_exits_with_a_message(abs_model, flags):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines()[-1].startswith("lipcert: ")
+
+
+def test_bounds_on_sides_near_the_float_range_warns_nothing(tmp_path):
+    # no sampling, so the box is only bounded: stderr stays empty
+    model = write_json(tmp_path / "wide.json", {"layers": [
+        {"type": "affine", "W": [[2.0], [-3.0]]},
+        {"type": "relu"},
+        {"type": "affine", "W": [[1.0, 1.0]]},
+    ]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "bounds", "--model", model, "--box=-1e308,1e308"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert np.isfinite(json.loads(proc.stdout)["symprop"])

@@ -49,6 +49,7 @@ def per_coordinate_box(omega, default_box):
                 hi[i] = lo[i] + width
             elif finite_hi and not finite_lo:
                 lo[i] = hi[i] - width
+        hi[i] = max(hi[i], lo[i])
     return lo, hi
 
 
