@@ -6,12 +6,13 @@ Every activation states its pieces once, in `group_pieces`: per branch group
 map `T z + t`. The base class derives every other view from that list and
 keeps it: `branch_groups` (`NeuronPiece` objects for the oracle),
 `neuron_decomposition`, `piece_table` and the point linearisation. The piece
-table holds every region row once, normalised to unit length; the analysis
-of every activation, the cut of a region by a piece (`PieceTable.cut`) and
-the point linearisation all read those rows, so a tolerance on a row is a
-Euclidean distance for every activation. The piece list order is part of
-the deterministic contract: ties are always resolved toward the lowest
-piece index.
+table numbers every distinct region row of the layer once, normalised to
+unit length, and each piece lists the numbers of its rows; the analysis of
+every activation, the cut of a region by a piece (`PieceTable.cut`) and the
+point linearisation all read those rows through one gather, so a tolerance
+on a row is a Euclidean distance for every activation. The piece list order
+is part of the deterministic contract: ties are always resolved toward the
+lowest piece index.
 """
 from __future__ import annotations
 
@@ -67,16 +68,15 @@ class PieceTable(NamedTuple):
     to the largest group; `valid[g, p]` marks the pieces that exist. Neuron
     n's map row is at flat position `order[n]` of a (groups, rows) array.
     `cols[g]` lists the input columns group g's rows read (padded with the
-    column `in_width`). Region rows are kept once per group, normalised to
-    unit length as `Polyhedron` stores them: the k-th distinct row is
-    `D[dir[g, k]] z <= off[g, k]`, and piece p's rows are the rows
-    `rows[g, p]` in order (padded with -1); `need[g, p]` packs the same set
-    as bits, for the containment tests of `all_rows`. `D` holds each row
-    direction of the table once, with its first non-zero entry positive,
-    followed by the same directions negated: for n = len(D) // 2,
-    `D[j + n] = -D[j]`. So the sup of a row over a set is the sup of its
-    direction or minus the inf, and one pair of LPs per direction decides
-    every row along it.
+    column `in_width`). The layer's region rows share one index space: each
+    distinct row once, normalised to unit length as `Polyhedron` stores it,
+    the k-th being `D[dir[k]] z <= off[k]`. Piece p of group g holds where
+    the rows `rows[g, p]` hold, in order (padded with -1). `D` holds each
+    row direction of the table once, with its first non-zero entry
+    positive, followed by the same directions negated: for
+    n = len(D) // 2, `D[j + n] = -D[j]`. So the sup of a row over a set is
+    the sup of its direction or minus the inf, and one pair of LPs per
+    direction decides every row along it.
     """
 
     T: np.ndarray
@@ -85,7 +85,6 @@ class PieceTable(NamedTuple):
     order: np.ndarray
     cols: np.ndarray
     rows: np.ndarray
-    need: np.ndarray
     D: np.ndarray
     dir: np.ndarray
     off: np.ndarray
@@ -93,16 +92,16 @@ class PieceTable(NamedTuple):
     def cut(self, g: int, p: int, region: Polyhedron, J, b) -> Polyhedron:
         """{x in region : J x + b in piece p of group g}, built in one call."""
         k = self.rows[g, p][self.rows[g, p] >= 0]
-        U = self.D[self.dir[g, k]]
+        U = self.D[self.dir[k]]
         return Polyhedron(np.vstack([region.C, U @ J]),
-                          np.concatenate([region.c, self.off[g, k] - U @ b]))
+                          np.concatenate([region.c, self.off[k] - U @ b]))
 
     def all_rows(self, ok: np.ndarray) -> np.ndarray:
         """(..., groups, pieces) masks of the valid pieces all of whose rows
-        are marked in `ok`, a stack of (groups, rows) masks."""
-        bits = np.packbits(ok, axis=-1)[..., None, :]
-        # a piece passes when none of the rows it needs is missing from ok
-        return self.valid & ~(self.need & ~bits).any(axis=-1)
+        are marked in `ok`, a stack of masks over the table's rows."""
+        # the padding index -1 reads an appended True
+        ok = np.concatenate([ok, np.ones(ok.shape[:-1] + (1,), dtype=bool)], axis=-1)
+        return self.valid & ok[..., self.rows].all(axis=-1)
 
     def holding(self, Z: np.ndarray, tol: float) -> np.ndarray:
         """(2, points, groups, pieces) masks of the pieces whose rows hold at
@@ -110,7 +109,7 @@ class PieceTable(NamedTuple):
         # matrix-vector products per point, as for a single point
         lhs = np.matmul(self.D[:len(self.D) // 2], Z[..., None])[..., 0]
         lhs = np.concatenate([lhs, -lhs], axis=1)[:, self.dir]
-        return self.all_rows(lhs <= self.off + np.array([0.0, tol]).reshape(2, 1, 1, 1))
+        return self.all_rows(lhs <= self.off + np.array([0.0, tol])[:, None, None])
 
 
 class PwlActivation:
@@ -166,39 +165,33 @@ class PwlActivation:
             groups = self.group_pieces()
             G, P = len(groups), max(len(p) for _, p in groups)
             R = max(len(f) for f, _ in groups)
-            M = max(len(piece[0]) for _, p in groups for piece in p)
             T, t = np.zeros((G, P, R, self.in_width)), np.zeros((G, P, R))
             valid, order = np.zeros((G, P), dtype=bool), np.zeros(self.out_width, dtype=int)
-            rows, cols, distinct = np.full((G, P, M), -1), [], []
+            count, cols = np.zeros((G, P), dtype=int), []
             for g, (fixed, pieces) in enumerate(groups):
                 Cs, cs, Ts, ts = zip(*pieces)
                 order[list(fixed)] = g * R + np.arange(len(fixed))
                 valid[g, :len(pieces)] = True
+                count[g, :len(pieces)] = [len(C_p) for C_p in Cs]
                 T[g, :len(pieces), :len(fixed)], t[g, :len(pieces), :len(fixed)] = Ts, ts
-                raw = np.concatenate(Cs)
-                cols.append(np.flatnonzero((raw != 0).any(axis=0)))
-                raw = np.column_stack([raw[:, cols[g]], np.concatenate(cs)])
-                first = {}  # distinct by exact bytes
-                index = np.array([first.setdefault(r.tobytes(), len(first)) for r in raw], dtype=int)
-                for p, k in enumerate(np.split(index, np.cumsum([len(C) for C in Cs])[:-1])):
-                    rows[g, p, :len(k)] = k
-                distinct.append(np.array([np.frombuffer(r) for r in first]).reshape(-1, raw.shape[1]))
-            K, S = max(map(len, distinct)), max(1, max(map(len, cols)))
-            units, dir_, off = {}, np.zeros((G, K), dtype=int), np.zeros((G, K))
-            for g, rows_g in enumerate(distinct):
-                norm = np.linalg.norm(rows_g[:, :-1], axis=1)
-                off[g, :len(rows_g)] = rows_g[:, -1] / norm
-                for k, u in enumerate(rows_g[:, :-1] / norm[:, None]):
-                    unit = np.zeros(self.in_width)
-                    unit[cols[g]] = u * np.sign(u[u != 0][0])  # first non-zero entry positive
-                    j = units.setdefault((unit + 0.0).tobytes(), len(units))
-                    dir_[g, k] = j if u[u != 0][0] > 0 else ~j  # ~j: negated; n unknown yet
-                cols[g] = np.append(cols[g], [self.in_width] * (S - len(cols[g])))
-            need = np.packbits((rows[..., None] == np.arange(K)).any(axis=2), axis=2)
-            D = np.array([np.frombuffer(u) for u in units]).reshape(-1, self.in_width)
+                cols.append(np.flatnonzero((np.concatenate(Cs) != 0).any(axis=0)))
+            # every distinct row once, normalised as Polyhedron normalises it
+            C = np.concatenate([C_p for _, p in groups for C_p, *_ in p]).reshape(-1, self.in_width)
+            c = np.concatenate([c_p for _, p in groups for _, c_p, *_ in p])
+            norm = np.linalg.norm(C, axis=1)
+            Uc, index = np.unique(np.column_stack([C / norm[:, None], c / norm]), axis=0,
+                                  return_inverse=True)
+            rows = np.full((G, P, count.max()), -1)  # filled in group, piece, row order
+            rows[np.arange(rows.shape[2]) < count[..., None]] = index.reshape(-1)
+            # one direction per line, its first non-zero entry positive
+            U = Uc[:, :-1]
+            sign = np.sign(U[np.arange(len(U)), (U != 0).argmax(axis=1)])
+            D, j = np.unique(U * sign[:, None] + 0.0, axis=0, return_inverse=True)
+            S = max(1, max(map(len, cols)))
+            cols = [np.append(cols_g, [self.in_width] * (S - len(cols_g))) for cols_g in cols]
             table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), rows,
-                               need, np.concatenate([D, -D]),
-                               np.where(dir_ >= 0, dir_, ~dir_ + len(D)), off)
+                               np.concatenate([D, -D]), j.reshape(-1) + len(D) * (sign < 0),
+                               Uc[:, -1].copy())
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table

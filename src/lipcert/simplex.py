@@ -6,12 +6,12 @@ containment), so a tableau method with anti-cycling pivoting is simpler and
 more predictable here than sparse machinery or interior-point codes.
 
 The queries come in batches over one region: the range of every neuron's
-pre-activation, every row of a piece-containment test. `RegionLP` therefore
-builds the tableau of a region and runs phase 1 once, saves the feasible basis
-it reaches, and starts each objective's phase 2 from a copy of that saved
-basis, so every answer is independent of the order and the company in which
-it is asked. `RegionLP.bounds` takes a matrix of objectives and solves their
-2k phase-2 LPs together: a stack of copies of the saved tableau pivots in
+pre-activation, every row of a piece-containment test. So `RegionLP` settles
+phase 1 when it is built, drives the artificial variables out of the basis
+it reaches and keeps that one tableau; each objective's phase 2 starts from a
+copy of it, so every answer is independent of the order and the company in
+which it is asked. `RegionLP.bounds` solves the 2k phase-2 LPs of a matrix
+of objectives together: a stack of copies of the saved tableau pivots in
 lock-step, each LP as the 2-D kernel would pivot it alone, and an LP leaves
 the stack when it ends. Stacks are cut to a fixed number of tableau elements;
 a stack of fewer than four tableaux (large tableaux, or the last few LPs)
@@ -19,8 +19,8 @@ runs them one by one in the 2-D kernel, which costs less per pivot there.
 `polyhedra.region_lp` keeps one `RegionLP` per region that is not a box, so
 every query of such a region shares its phase 1; a box's LPs are answered in
 closed form there (`polyhedra.BoxLP`) and never reach this module.
-`solve_lp` and `feasible_point` are the one-query uses of the same object,
-so tableau setup exists in one place.
+`solve_lp` and `feasible_point` are the one-query uses of the same object.
+No answer is read from a tableau whose pivots overflowed to inf or NaN.
 """
 from __future__ import annotations
 
@@ -58,6 +58,12 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
     T[row, col] = 1.0
 
 
+def _finite(T):
+    """Raise when the tableau T holds an inf or NaN: no answer is read from it."""
+    if not np.isfinite(T).all():
+        raise LpSolverError("simplex tableau overflowed: a non-finite entry", phase="overflow")
+
+
 def _run_simplex(T, basis, budget):
     """Pivot until optimal or unbounded. Returns (status, pivots_used).
 
@@ -76,11 +82,14 @@ def _run_simplex(T, basis, budget):
             return "unbounded", used
         ratios = T[rows, -1] / col[rows]
         tied = rows[ratios == ratios.min()]
+        if tied.size == 0:  # a NaN ratio
+            _finite(T)
         leave = int(tied[basis[tied].argmin()])
         _pivot(T, leave, entering)
         basis[leave] = entering
         used += 1
         if used > budget:
+            _finite(T)
             raise LpSolverError(
                 f"simplex exceeded {budget} pivots", phase="pivot-budget"
             )
@@ -108,6 +117,7 @@ def _run_stack(T, basis, budget):
         optimal = ~negative[at, entering]
         go = ~optimal & pos.any(axis=1)
         if not go.all():
+            _finite(T[~go])
             values[live[optimal]] = -T[optimal, -1, -1]
             unbounded[live[~(go | optimal)]] = True
             if not go.any():
@@ -132,18 +142,20 @@ def _run_stack(T, basis, budget):
         basis[at, leave] = entering
         used += 1
         if used > budget:
+            _finite(T)  # an overflowed LP pivots on NaN ratios until here
             raise LpSolverError(
                 f"simplex exceeded {budget} pivots", phase="pivot-budget"
             )
 
 
 def _build_tableau(A, b):
-    """Standard-form tableau for A x <= b with x free (split x = u - v).
+    """Phase-1 tableau for A x <= b with x free (split x = u - v).
 
     Columns are u, v, one slack per row, one artificial per row with a
     negative right-hand side, then the right-hand side. Those rows are negated
     and start with their artificial basic; the rest start with their slack
-    basic. Returns (T, basis, first artificial column).
+    basic; the last row is the reduced cost of 1 per artificial (their rows
+    subtracted in order). Returns (T, basis, first artificial column).
     """
     m, d = A.shape
     art_rows = np.flatnonzero(b < 0)
@@ -157,25 +169,26 @@ def _build_tableau(A, b):
     T[art_rows, :-1] *= -1.0
     T[art_rows, -1] *= -1.0
     T[art_rows, first_art + np.arange(n_art)] = 1.0
+    T[-1, first_art:-1] = 1.0
+    T[-1] = np.subtract.reduce(np.vstack([T[-1:], T[art_rows]]), axis=0)
     basis = 2 * d + np.arange(m)
     basis[art_rows] = first_art + np.arange(n_art)
     return T, basis, first_art
 
 
-def _set_objective(T, basis, obj):
-    """Install the reduced-cost row of the full cost vector `obj` (rhs included)."""
-    for r in np.flatnonzero(obj[basis]):
-        obj -= obj[basis[r]] * T[r]
-    T[-1] = obj
-
-
 def _set_objectives(T, basis, objs):
-    """`_set_objective` of each row of `objs` (k x columns) on the tableau T,
-    in place on `objs`: a row whose cost on row r's basic column is zero
-    skips row r, as the 2-D loop does, so each row's arithmetic is its own."""
-    for r in np.flatnonzero(objs[:, basis].any(axis=0)):
-        coef = objs[:, basis[r]]
-        np.subtract(objs, coef[:, None] * T[r], out=objs, where=(coef != 0)[:, None])
+    """The reduced-cost rows of the cost rows `objs` (k x columns, rhs
+    included) on T: basic row r times each row's cost on r's basic column
+    (which no other basic row changes) is subtracted in order of r; a zero
+    cost subtracts +0.0, so each row's arithmetic is its own."""
+    coef = objs[:, basis].T
+    rows = coef.any(axis=1).nonzero()[0]
+    coef = coef[rows]
+    terms = np.empty((len(rows) + 1,) + objs.shape)
+    terms[0] = objs
+    np.multiply(coef[:, :, None], T[rows, None], out=terms[1:])
+    terms[1:][coef == 0] = 0.0
+    return np.subtract.reduce(terms, axis=0)
 
 
 def _basic_point(T, basis, d):
@@ -187,14 +200,16 @@ def _basic_point(T, basis, d):
 class RegionLP:
     """The LPs of one region A x <= b: phase 1 once, then phase 2 from its basis.
 
-    `feasible` is settled at construction. The first objective drives the
-    remaining artificial variables out of the phase-1 basis and drops their
-    columns; the resulting tableau replaces the phase-1 one. Each objective
-    then runs phase 2 on a copy of it.
+    Phase 1 is settled at construction: it sets `feasible` and the basic
+    point, and on a feasible region it drives the remaining artificial
+    variables out of the basis and drops their columns. The tableau it
+    leaves is the only one kept; each objective runs phase 2 on a copy of it.
     """
 
-    __slots__ = ("dim", "feasible", "_T", "_basis", "_first_art", "_budget", "_point")
+    __slots__ = ("dim", "feasible", "_T", "_basis", "_budget", "_point")
 
+    # `_finite` refuses what overflows, so numpy's warnings would only repeat it
+    @np.errstate(all="ignore")
     def __init__(self, A, b):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float).reshape(-1)
@@ -202,27 +217,13 @@ class RegionLP:
             raise ValueError("constraint shapes are inconsistent")
         self.dim = A.shape[1]
         T, basis, first_art = _build_tableau(A, b)
-        obj = np.zeros(T.shape[1])
-        obj[first_art:-1] = 1.0
-        _set_objective(T, basis, obj)
         status, used = _run_simplex(T, basis, _MAX_PIVOTS)
         if status != "optimal":
             raise LpSolverError("phase-1 simplex did not terminate", phase="phase1")
+        _finite(T)
         self.feasible = bool(-T[-1, -1] <= FEAS_TOL)
-        self._T = T
-        self._basis = basis
-        self._first_art = first_art
-        self._budget = _MAX_PIVOTS - used
         self._point = _basic_point(T, basis, self.dim) if self.feasible else None
-
-    def point(self) -> np.ndarray | None:
-        """The basic point phase 1 ends at (within FEAS_TOL), or None if empty."""
-        return None if self._point is None else self._point.copy()
-
-    def _phase2_start(self) -> np.ndarray:
-        """The saved tableau phase 2 starts from, without artificial columns."""
-        T, basis, first_art = self._T, self._basis, self._first_art
-        if T.shape[1] > first_art + 1:  # still the phase-1 tableau
+        if self.feasible and T.shape[1] > first_art + 1:
             # an artificial still basic (at zero) in row r always has a pivot:
             # the slack of its own constraint stays the negated artificial
             # column through every pivot, so it holds -1 in row r
@@ -231,13 +232,17 @@ class RegionLP:
                 _pivot(T, r, j)
                 basis[r] = j
             # artificial columns may never re-enter phase 2
-            self._T = np.delete(T, np.s_[first_art:-1], axis=1)
-        return self._T
+            T = np.delete(T, np.s_[first_art:-1], axis=1)
+        self._T, self._basis, self._budget = T, basis, _MAX_PIVOTS - used
+
+    def point(self) -> np.ndarray | None:
+        """The basic point phase 1 ends at (within FEAS_TOL), or None if empty."""
+        return None if self._point is None else self._point.copy()
 
     def _objectives(self, costs) -> np.ndarray:
         """The full cost rows (u, v, slack columns, rhs) of the rows of `costs`."""
         d = self.dim
-        objs = np.zeros((costs.shape[0], self._phase2_start().shape[1]))
+        objs = np.zeros((costs.shape[0], self._T.shape[1]))
         objs[:, :d] = costs
         objs[:, d : 2 * d] = -costs
         return objs
@@ -245,12 +250,13 @@ class RegionLP:
     def _solve(self, obj):
         """Phase 2 of the full cost row `obj` on a copy of the saved tableau:
         (tableau, basis, status) at its end."""
-        T = self._T.copy()
-        basis = self._basis.copy()
-        _set_objective(T, basis, obj)
+        T, basis = self._T.copy(), self._basis.copy()
+        T[-1] = _set_objectives(T, basis, obj[None])[0]
         status, _ = _run_simplex(T, basis, self._budget)
+        _finite(T)
         return T, basis, status
 
+    @np.errstate(all="ignore")
     def minimize(self, cost) -> LpResult:
         """min cost.x over the region, from the saved post-phase-1 basis."""
         cost = np.asarray(cost, dtype=float).reshape(-1)
@@ -264,6 +270,7 @@ class RegionLP:
             return LpResult("unbounded", x, float("-inf"))
         return LpResult("optimal", x, float(-T[-1, -1]))
 
+    @np.errstate(all="ignore")
     def bounds(self, objectives) -> np.ndarray:
         """(inf, sup) of o.x over the region for each row o of the (k, dim)
         matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
@@ -271,7 +278,7 @@ class RegionLP:
         The 2k phase-2 LPs run in stacks of up to _STACK tableau elements;
         a stack of fewer than _MIN_STACK tableaux runs them one by one. Each
         answer is bit for bit that of `minimize(o)` and `minimize(-o)`.
-        Raises InfeasibleRegionError when the region is empty.
+        Raises InfeasibleRegionError on an empty region, LpSolverError on overflow.
         """
         if not self.feasible:
             raise InfeasibleRegionError("bounds queried on an empty region")
@@ -279,7 +286,7 @@ class RegionLP:
         if O.ndim != 2 or O.shape[1] != self.dim:
             raise ValueError("objectives must be a matrix with one column per variable")
         k = O.shape[0]
-        T, basis = self._phase2_start(), self._basis
+        T, basis = self._T, self._basis
         objs = self._objectives(np.concatenate([O, -O]))
         values = np.empty(2 * k)
         unbounded = np.empty(2 * k, dtype=bool)
@@ -291,9 +298,8 @@ class RegionLP:
                     end, _, status = self._solve(obj)
                     values[i], unbounded[i] = -end[-1, -1], status == "unbounded"
                 continue
-            _set_objectives(T, basis, chunk)
             stack = np.repeat(T[None], len(chunk), axis=0)
-            stack[:, -1] = chunk
+            stack[:, -1] = _set_objectives(T, basis, chunk)
             bases = np.repeat(basis[None], len(chunk), axis=0)
             values[s : s + step], unbounded[s : s + step] = _run_stack(stack, bases, self._budget)
         lo = np.where(unbounded[:k], -np.inf, values[:k])

@@ -103,9 +103,8 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
     Given `aux`, the star ranges of groups reading several columns go there."""
     cand = pieces & open_[:, None]
     n = len(table.D) // 2
-    used = np.unpackbits(np.bitwise_or.reduce(np.where(cand[..., None], table.need, 0), axis=1),
-                         axis=1, count=table.dir.shape[1]).astype(bool)
-    dirs = np.flatnonzero(np.bincount(table.dir[used] % n, minlength=n))
+    used = table.rows[cand]
+    dirs = np.flatnonzero(np.bincount(table.dir[used[used >= 0]] % n, minlength=n))
     sup = np.zeros(2 * n)
     if dirs.size:
         D = table.D[dirs]
@@ -123,7 +122,7 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
         # a piece whose rows span two or more directions may miss the image
         # although no single row does: only a joint LP tells
         k = table.rows
-        dk = table.dir[np.arange(len(k))[:, None, None], k] % n
+        dk = table.dir[k] % n
         joint = ((dk != dk[:, :, :1]) & (k >= 0)).any(axis=2)
         columns = (table.cols < table.T.shape[3]).sum(axis=1)
         for g in np.flatnonzero(undecided):
@@ -162,8 +161,9 @@ def _column_ranges(table: PieceTable, state: LayerState, sup, aux):
     g, r = np.divmod(table.order[stars], table.t.shape[2])
     one = (table.cols[g] < table.T.shape[3]).sum(axis=1) == 1
     g, r, k = g[one], r[one], table.rows[g[one]]
-    dk, off = table.dir[g[:, None, None], k], table.off[g[:, None, None], k]
-    j = np.stack([table.dir[g, 0] % n, table.dir[g, 0] % n + n])  # the column, then -column
+    dk, off = table.dir[k], table.off[k]
+    # the column, read off any of the group's rows, then -column
+    j = table.dir[k.max(axis=(1, 2))] % n + np.array([[0], [n]])
     rows = np.where((k >= 0) & (dk == j[:, :, None, None]), off, np.inf).min(axis=3)
     zhi, zlo = np.minimum(sup[j][:, :, None], rows) * np.array([1.0, -1.0])[:, None, None]
     slope, t = table.T[g, :, r, table.cols[g, 0]], table.t[g, :, r]

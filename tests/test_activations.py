@@ -334,15 +334,29 @@ def test_piece_table_regions_match_branch_groups(act):
     for g, (_, pieces) in enumerate(act.branch_groups()):
         for p, np_ in enumerate(pieces):
             k = table.rows[g, p][table.rows[g, p] >= 0]
-            np.testing.assert_array_equal(table.D[table.dir[g, k]].reshape(np_.region.C.shape),
+            np.testing.assert_array_equal(table.D[table.dir[k]].reshape(np_.region.C.shape),
                                           np_.region.C)
-            np.testing.assert_array_equal(table.off[g, k], np_.region.c)
+            np.testing.assert_array_equal(table.off[k], np_.region.c)
             # through the identity map, the cut of the whole space is the
             # piece's region, its rows normalised once more by the constructor
             region = table.cut(g, p, lc.Polyhedron.universe(w), np.eye(w), np.zeros(w))
             again = lc.Polyhedron(np_.region.C, np_.region.c)
             np.testing.assert_array_equal(region.C, again.C)
             np.testing.assert_array_equal(region.c, again.c)
+
+
+@pytest.mark.parametrize("act", ACTS + [fullsort(7)], ids=lambda a: repr(a))
+def test_piece_table_numbers_each_row_once(act):
+    # one index space for the layer's region rows: every distinct normalised
+    # row once, shared by all groups, and each piece's rows index into it
+    table = act.piece_table()
+    assert "need" not in table._fields
+    assert table.dir.ndim == table.off.ndim == 1 and len(table.dir) == len(table.off)
+    pairs = {(int(d), float(o)) for d, o in zip(table.dir, table.off)}
+    assert len(pairs) == len(table.dir)
+    k = table.rows[table.rows >= 0]
+    assert np.array_equal(np.unique(k), np.arange(len(table.dir)))
+    assert (table.rows[~table.valid] == -1).all()
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))

@@ -253,3 +253,19 @@ def test_bounds_on_sides_near_the_float_range_warns_nothing(tmp_path):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert np.isfinite(json.loads(proc.stdout)["symprop"])
+
+
+def test_compute_on_sides_near_the_float_range_exits_with_a_message(tmp_path):
+    # the LPs of the child regions overflow: the solve refuses to answer,
+    # and no numpy warning reaches stderr
+    model = write_json(tmp_path / "wide.json", {"layers": [
+        {"type": "affine", "W": [[1.0, 2.0], [3.0, -1.0]]},
+        {"type": "relu"},
+        {"type": "affine", "W": [[1.0, 1.0]]},
+    ]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "compute", "--model", model, "--box=-1e308,1e308"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 1
+    assert "Warning" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("lipcert: ")

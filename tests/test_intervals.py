@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipcert import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul
+from lipcert import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul, intervals
 
 
 def sample_member(rng, J: IntervalMatrix) -> np.ndarray:
@@ -94,6 +94,28 @@ def test_matmul_soundness_sampled():
             prod = sample_member(rng, IA) @ sample_member(rng, IB)
             assert np.all(prod >= P.lower - 1e-12)
             assert np.all(prod <= P.upper + 1e-12)
+
+
+@pytest.mark.parametrize("blocks", [3, 4, 10])
+def test_matmul_in_blocks_encloses_and_matches_one_block(monkeypatch, blocks):
+    # a small element budget splits the inner dimension (10) into `blocks`
+    # broadcast blocks; on integer endpoints every partial sum is exact, so
+    # the blocked product is the one-block product bit for bit
+    rng = np.random.default_rng(11)
+    m, k, n = 3, 10, 4
+    A = np.sort(rng.integers(-5, 6, size=(2, m, k)), axis=0).astype(float)
+    B = np.sort(rng.integers(-5, 6, size=(2, k, n)), axis=0).astype(float)
+    IA, IB = IntervalMatrix(A[0], A[1]), IntervalMatrix(B[0], B[1])
+    whole = interval_matmul(IA, IB)
+    monkeypatch.setattr(intervals, "_BLOCK", m * n * -(-k // blocks))
+    assert -(-k // (intervals._BLOCK // (m * n))) == blocks
+    P = interval_matmul(IA, IB)
+    np.testing.assert_array_equal(P.lower, whole.lower)
+    np.testing.assert_array_equal(P.upper, whole.upper)
+    for _ in range(20):
+        prod = sample_member(rng, IA) @ sample_member(rng, IB)
+        assert np.all(prod >= P.lower - 1e-12)
+        assert np.all(prod <= P.upper + 1e-12)
 
 
 def test_matmul_entrywise_tight_for_degenerate_left_factor():

@@ -74,7 +74,7 @@ def test_bounds_match_minimize_one_by_one(seed, kind, k, per_stack, min_stack):
     want = _one_by_one(want_lp, O)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simplex, "_MIN_STACK", min_stack)
-        mp.setattr(simplex, "_STACK", per_stack * lp._phase2_start().size)
+        mp.setattr(simplex, "_STACK", per_stack * lp._T.size)
         got = lp.bounds(O)
     assert got.shape == (k, 2)
     for (lo_status, hi_status, lo, hi), (glo, ghi) in zip(want, got):

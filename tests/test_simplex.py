@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from lipcert import InfeasibleRegionError
+import lipcert as lc
+from lipcert import InfeasibleRegionError, LpSolverError, simplex
 from lipcert.simplex import FEAS_TOL, LpResult, RegionLP, feasible_point, solve_lp
 
 
@@ -254,3 +255,61 @@ def test_region_lp_rejects_bad_shapes():
         RegionLP(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         RegionLP(np.zeros((2, 2)), np.zeros(2)).minimize(np.zeros(3))
+
+
+@pytest.mark.parametrize("min_stack", [4, 100])
+def test_region_lp_refuses_an_overflowed_tableau(monkeypatch, min_stack):
+    # a box with sides near the float range cut by two oblique rows: pivoting
+    # them overflows, so every phase-2 answer, stacked or one by one, raises
+    # (the suite turns any RuntimeWarning into an error)
+    A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 2.0], [3.0, -1.0]])
+    lp = RegionLP(A, np.array([1e308] * 4 + [0.0, 0.0]))
+    monkeypatch.setattr(simplex, "_MIN_STACK", min_stack)
+    with pytest.raises(LpSolverError, match="overflow"):
+        lp.bounds([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(LpSolverError, match="overflow"):
+        lp.minimize([1.0, 1.0])
+
+
+def test_solve_on_sides_near_the_float_range_raises():
+    net = lc.Network([lc.AffineLayer([[1.0, 2.0], [3.0, -1.0]], [0.0, 0.0]), lc.relu(2),
+                      lc.AffineLayer([[1.0, 1.0]], [0.0])])
+    with pytest.raises(LpSolverError, match="overflow"):
+        lc.solve(net, lc.Polyhedron.from_box([-1e308] * 2, [1e308] * 2))
+
+
+def test_lps_with_offsets_near_the_float_range_answer_or_raise(monkeypatch):
+    # some of these overflow in phase 1, some in phase 2, some leave a NaN
+    # ratio mid-pivot: each LP answers without NaN or raises LpSolverError,
+    # stacked or one by one, and nothing else is raised or warned
+    rng = np.random.default_rng(0)
+    outcomes = set()
+    for _ in range(150):
+        d = int(rng.integers(1, 4))
+        A = rng.integers(-3, 4, size=(int(rng.integers(d + 1, 8)), d)).astype(float)
+        b = rng.choice([1e308, -1e308, 1e307, -5e307, 0.0, 1.0], size=len(A))
+        O = rng.integers(-2, 3, size=(3, d)).astype(float)
+        for min_stack in (4, 100):
+            monkeypatch.setattr(simplex, "_MIN_STACK", min_stack)
+            try:
+                lp = RegionLP(A, b)
+                if lp.feasible:
+                    assert not np.isnan(lp.bounds(O)).any()
+                outcomes.add(lp.feasible)
+            except LpSolverError as err:
+                assert err.phase == "overflow"
+                outcomes.add("overflow")
+    assert outcomes == {True, False, "overflow"}
+
+
+def test_stacked_lps_that_overflow_end_in_an_overflow_error(monkeypatch):
+    # an overflow leaves a NaN ratio, which picks no leaving row; the stack
+    # pivots on regardless, and at the pivot budget the error names the
+    # overflow, not the budget
+    A = np.array([[-1.0, 1.0], [1.0, 2.0], [-3.0, 3.0], [2.0, -2.0], [-3.0, 2.0], [1.0, 0.0]])
+    b = np.array([0.0, -1e308, 0.0, 1.0, 1e308, 1e307])
+    monkeypatch.setattr(simplex, "_MIN_STACK", 4)
+    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 200)
+    with pytest.raises(LpSolverError) as err:
+        RegionLP(A, b).bounds([[-1.0, 0.0], [-2.0, 1.0], [-1.0, -2.0]])
+    assert err.value.phase == "overflow"
