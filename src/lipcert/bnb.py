@@ -11,7 +11,7 @@ piece's constraints back to input space, and re-filters deeper layers.
 Subproblems without stars are linear on their region, so their bound is
 exact and feeds the global lower bound. A region keeps its LP
 (`polyhedra.region_lp`), so a child's feasibility test and its re-filtering
-share one phase 1.
+share one phase 1, or one closed form for a child of a box root.
 """
 from __future__ import annotations
 

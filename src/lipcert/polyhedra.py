@@ -2,8 +2,9 @@
 
 Each region keeps the LP object `region_lp` builds for it on first use, and
 every query of the region asks that object. A region whose rows each bound a
-single coordinate (a box, or the whole space) gets a `BoxLP`, which answers
-from the box's sides in closed form; every other region gets a
+single coordinate, but for at most one general row (a box or the whole
+space, either cut by one half-space), gets a `BoxLP`, which answers from the
+box's sides and the cut's dual in closed form; every other region gets a
 `simplex.RegionLP`.
 """
 from __future__ import annotations
@@ -19,6 +20,9 @@ from .exceptions import InfeasibleRegionError, ModelFormatError, _integer
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
+# elements of the (objectives x candidates x coordinates) temporaries of one
+# chunk of `BoxLP`'s dual values; keeps them small whatever the sizes
+_CHUNK = 1 << 15
 
 
 class Polyhedron:
@@ -135,21 +139,42 @@ def affine_preimage(Q: Polyhedron, J, b) -> Polyhedron:
 
 
 class BoxLP:
-    """The LPs of a region whose rows each bound one coordinate (a box, or the
-    whole space), answered in closed form with the queries this module asks
-    of a `simplex.RegionLP` (`feasible`, `point()` and `bounds()`): each
+    """The LPs of a region whose rows each bound one coordinate, except at
+    most one general row a.x <= beta (a box, the whole space, or either cut
+    by one half-space), answered in closed form with the queries this module
+    asks of a `simplex.RegionLP` (`feasible`, `point()` and `bounds()`): each
     coordinate i lies in [lo_i, hi_i], the tightest of its rows' bounds c / a.
 
-    The box is empty when its total inversion sum_i max(0, lo_i - hi_i)
-    exceeds FEAS_TOL. That sum is the phase-1 optimum of the simplex when each
-    coordinate has one row per side, and never exceeds it, so a box is called
-    empty only where the simplex would call it empty.
+    The region is empty when the box's total inversion
+    sum_i max(0, lo_i - hi_i) plus the cut's least violation over the box
+    max(0, min a.x - beta) exceeds FEAS_TOL. A box row is a unit axis row, so
+    violating it by t buys at most t of the cut's violation: the sum never
+    exceeds the phase-1 optimum of the simplex (and is that optimum on an
+    uncut box with one row per side), so a region is called empty only where
+    the simplex would call it empty.
+
+    Over a cut box, sup o.x is the least value at lambda = 0 or at a positive
+    ratio o_i / a_i of the convex piecewise-linear dual
+    g(lambda) = lambda beta + sum_i sup over [lo_i, hi_i] of (o_i - lambda a_i) x_i,
+    whose kinks are those ratios. Every lambda >= 0 bounds the sup from
+    above, so a multiplier off the optimum errs upward, the sound side for a
+    star range. A reduced coefficient o_i - lambda a_i within
+    `simplex.PIVOT_TOL` of zero opens no infinite side, as in the simplex's
+    reduced-cost test, and is exactly zero at its own ratio.
     """
 
-    __slots__ = ("dim", "feasible", "_lo", "_hi")
+    __slots__ = ("dim", "feasible", "_lo", "_hi", "_a", "_beta")
 
     def __init__(self, C, c):
         dim = C.shape[1]
+        general = np.count_nonzero(C, axis=1) > 1
+        self._a = self._beta = None
+        if general.any():
+            if general.sum() > 1:
+                raise ValueError("a BoxLP region has at most one row over several coordinates")
+            g = int(general.argmax())
+            self._a, self._beta = C[g], float(c[g])
+            C, c = C[~general], c[~general]
         i, j = np.nonzero(C)
         bound = c[i] / C[i, j]
         upper = C[i, j] > 0
@@ -157,25 +182,57 @@ class BoxLP:
         np.maximum.at(lo, j[~upper], bound[~upper])
         np.minimum.at(hi, j[upper], bound[upper])
         self.dim = dim
-        with np.errstate(over="ignore"):  # sides near +-1.8e308: inf is the outward sum
-            self.feasible = bool(np.maximum(lo - hi, 0.0).sum() <= FEAS_TOL)
         self._lo, self._hi = lo, hi
+        # sides near +-1.8e308: inf is the outward sum
+        with np.errstate(over="ignore", invalid="ignore"):
+            excess = np.maximum(lo - hi, 0.0).sum()
+            if self._a is not None:
+                # the cut's least value over the box (0 * inf masked to 0); a
+                # sum of -inf and a finite overflow is NaN, which fmax drops
+                a = self._a
+                least = np.where(a != 0.0, np.minimum(a * lo, a * hi), 0.0).sum()
+                excess += np.fmax(least - self._beta, 0.0)
+        self.feasible = bool(excess <= FEAS_TOL)
 
     def point(self) -> np.ndarray | None:
-        """The point of the box nearest the origin, or None if it is empty."""
-        return np.clip(0.0, self._lo, self._hi) if self.feasible else None
+        """A point of the region, or None if it is empty: the point of the box
+        nearest the origin, with coordinates moved in order toward the side
+        that lowers a.x until the cut holds."""
+        if not self.feasible:
+            return None
+        x = np.clip(0.0, self._lo, self._hi)
+        if self._a is None:
+            return x
+        a = self._a
+        excess = a @ x - self._beta
+        if excess <= 0.0:
+            return x
+        target = np.where(a > 0.0, np.minimum(self._lo, self._hi), np.maximum(self._lo, self._hi))
+        with np.errstate(invalid="ignore", over="ignore"):  # inf gains where a side is infinite
+            gain = np.where(a != 0.0, a * (x - target), 0.0)
+        cum = np.cumsum(gain)
+        if cum[-1] < excess:  # violated within FEAS_TOL over the whole box
+            return np.where(a != 0.0, target, x)
+        j = int((cum >= excess).argmax())
+        rest = excess - cum[j - 1] if j else excess
+        x[:j] = np.where(a[:j] != 0.0, target[:j], x[:j])
+        x[j] -= rest / a[j]
+        return x
 
     def bounds(self, objectives) -> np.ndarray:
-        """(inf, sup) of o.x over the box for each row o of the (k, dim) matrix
-        `objectives`, as a (k, 2) array; +-inf where unbounded.
+        """(inf, sup) of o.x over the region for each row o of the (k, dim)
+        matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
 
-        Raises InfeasibleRegionError when the box is empty.
+        Raises InfeasibleRegionError when the region is empty.
         """
         if not self.feasible:
             raise InfeasibleRegionError("bounds queried on an empty region")
         O = np.asarray(objectives, dtype=float)
         if O.ndim != 2 or O.shape[1] != self.dim:
             raise ValueError("objectives must be a matrix with one column per variable")
+        if self._a is not None:
+            sup = self._cut_sup(np.concatenate([-O, O]))
+            return np.stack([-sup[: len(O)], sup[len(O):]], axis=1)
         # a zero coefficient times an infinite side is NaN, and is masked to 0;
         # a product or sum past the float range is +-inf, the outward answer
         with np.errstate(invalid="ignore", over="ignore"):
@@ -184,16 +241,50 @@ class BoxLP:
             sup = np.where(O > 0, at_hi, np.where(O < 0, at_lo, 0.0)).sum(axis=1)
         return np.stack([inf, sup], axis=1)
 
+    @np.errstate(invalid="ignore", over="ignore")
+    def _cut_sup(self, S) -> np.ndarray:
+        """sup of s.x over the cut box for each row s of S: the least dual
+        value g over lambda = 0 and the positive ratios s_i / a_i."""
+        a, lo, hi = self._a, self._lo, self._hi
+        on = a != 0.0
+        # coordinates off the cut add the same term at every lambda
+        fixed = _sup_terms(S[:, ~on], lo[~on], hi[~on]).sum(axis=1)
+        a, lo, hi, S = a[on], lo[on], hi[on], S[:, on]
+        m = a.size
+        own = np.arange(m)
+        ratio = S / a
+        lam = np.concatenate([np.zeros((len(S), 1)), np.maximum(ratio, 0.0)], axis=1)
+        sup = np.empty(len(S))
+        step = max(1, _CHUNK // ((m + 1) * m))
+        for s in range(0, len(S), step):
+            L = lam[s : s + step]
+            R = S[s : s + step, None, :] - L[:, :, None] * a
+            R[:, 1 + own, own] = 0.0
+            g = L * self._beta + _sup_terms(R, lo, hi).sum(axis=2)
+            # a negative ratio is no kink; inf - inf is an unbounded side
+            g[:, 1:][ratio[s : s + step] < 0.0] = np.inf
+            sup[s : s + step] = np.where(np.isnan(g), np.inf, g).min(axis=1)
+        return sup + fixed
+
+
+def _sup_terms(R, lo, hi):
+    """sup of r_i x_i over [lo_i, hi_i] for each reduced coefficient r_i in R;
+    0 where |r_i| is within `simplex.PIVOT_TOL` of zero and its side is
+    infinite."""
+    side = np.where(R > 0.0, hi, lo)
+    return np.where((np.abs(R) <= simplex.PIVOT_TOL) & np.isinf(side), 0.0, R * side)
+
 
 def region_lp(P: Polyhedron) -> BoxLP | simplex.RegionLP:
-    """The LPs of P: a `BoxLP` when every row of P bounds one coordinate (the
-    whole space included), else a `simplex.RegionLP`, which runs phase 1 on
-    the first call and phase 2 for the objectives asked of it. Every later
-    call returns the same object."""
+    """The LPs of P: a `BoxLP` when every row of P bounds one coordinate but
+    at most one (a box or the whole space, either cut by one half-space),
+    else a `simplex.RegionLP`, which runs phase 1 when it is built and phase
+    2 for the objectives asked of it. Every later call returns the same
+    object."""
     if P._lp is None:
-        # one non-zero entry per row: m of them, and no row without one (the
-        # total alone is about ten times cheaper and rejects most regions)
-        if np.count_nonzero(P.C) == P.m and P.C.any(axis=1).all():
+        # no row without a non-zero entry, and at most one with several
+        entries = np.count_nonzero(P.C, axis=1)
+        if entries.all() and np.count_nonzero(entries > 1) <= 1:
             P._lp = BoxLP(P.C, P.c)
         else:
             P._lp = simplex.RegionLP(P.C, P.c)

@@ -16,9 +16,10 @@ lock-step, each LP as the 2-D kernel would pivot it alone, and an LP leaves
 the stack when it ends. Stacks are cut to a fixed number of tableau elements;
 a stack of fewer than four tableaux (large tableaux, or the last few LPs)
 runs them one by one in the 2-D kernel, which costs less per pivot there.
-`polyhedra.region_lp` keeps one `RegionLP` per region that is not a box, so
-every query of such a region shares its phase 1; a box's LPs are answered in
-closed form there (`polyhedra.BoxLP`) and never reach this module.
+`polyhedra.region_lp` keeps one `RegionLP` per region with two or more rows
+over several coordinates, so every query of such a region shares its phase 1;
+the LPs of a box, or of a box cut by one half-space, are answered in closed
+form there (`polyhedra.BoxLP`) and never reach this module.
 `solve_lp` and `feasible_point` are the one-query uses of the same object.
 No answer is read from a tableau whose pivots overflowed to inf or NaN.
 """
@@ -128,6 +129,8 @@ def _run_stack(T, basis, budget):
             work = work[: live.size]
         ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
         tied = pos & (ratios == ratios.min(axis=1, keepdims=True))
+        if not tied.any(axis=1).all():  # a NaN ratio
+            _finite(T)
         leave = np.where(tied, basis, n).argmin(axis=1)
         # _pivot, one tableau per stack entry
         prow = T[at, leave]
@@ -142,7 +145,7 @@ def _run_stack(T, basis, budget):
         basis[at, leave] = entering
         used += 1
         if used > budget:
-            _finite(T)  # an overflowed LP pivots on NaN ratios until here
+            _finite(T)
             raise LpSolverError(
                 f"simplex exceeded {budget} pivots", phase="pivot-budget"
             )

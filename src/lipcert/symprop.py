@@ -24,8 +24,10 @@ the reachable-set overapproximation sound for all later layers.
 Every LP over a region is asked of the object `region_lp(region)` returns,
 which the region keeps. Auxiliary variables add only box rows, so over a box
 input region (or the whole space) every region of the root pass is a box,
-and its LPs are answered in closed form; over any other region phase 1 runs
-once per region for all of its layers and neurons.
+and each region a star range cuts with one piece's half-space (MaxMin and
+MaxPool-2) is a box cut by one row: their LPs are answered in closed form.
+Over any other region phase 1 runs once per region for all of its layers
+and neurons.
 Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
 layer's state over a superset as the record, and re-examines only the groups
 it left open, on the pieces they kept there.
@@ -201,7 +203,7 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
         return record if record is not None else LayerState(act, pieces)
     pieces, sup = _decide(table, region, J, b, open_, pieces, aux)
     state = LayerState(act, pieces)
-    if aux is not None:
+    if aux is not None and state.stars:
         _column_ranges(table, state, sup, aux)
     return state
 

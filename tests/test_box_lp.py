@@ -1,6 +1,7 @@
-"""`region_lp` answers the LPs of a box in closed form (`polyhedra.BoxLP`); its
-answers must be those of the simplex on the same rows, and the symbolic pass
-must reach the same decisions with either."""
+"""`region_lp` answers the LPs of a box, or of a box cut by one half-space, in
+closed form (`polyhedra.BoxLP`); its answers must be those of the simplex on
+the same rows, and the symbolic pass must reach the same decisions and star
+ranges with either."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,78 @@ def test_box_lp_answers_like_the_simplex(seed, sides, tight):
         assert _close(g[0], w[0], scale, slack) and _close(g[1], w[1], scale, slack), (o, g, w)
 
 
+CUTS = ["through the box", "tangent", "missing the box", "far off"]
+
+
+def _cut_row(rng, box_lp, d: int, cut: str):
+    """A row a.x <= beta over R^d with zero entries a third of the time (two
+    non-zero ones at least), placed against the box by `cut`."""
+    a = rng.normal(size=d)
+    a[rng.random(size=d) < 0.3] = 0.0
+    two = rng.choice(d, size=2, replace=False)
+    a[two] = rng.choice([-1.0, 1.0], size=2) * rng.uniform(0.5, 2.0, size=2)
+    if not box_lp.feasible:
+        return a, rng.normal()
+    least = box_lp.bounds(a[None])[0, 0]
+    through = a @ box_lp.point() + rng.uniform(0.0, 1.0)
+    if not np.isfinite(least) or cut == "through the box":
+        return a, through
+    return a, least + {"tangent": 0.0, "missing the box": -rng.uniform(1e-3, 1.0),
+                       "far off": 1e3}[cut]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       sides=st.lists(st.sampled_from(SIDES), min_size=2, max_size=5),
+       cut=st.sampled_from(CUTS))
+def test_cut_box_lp_answers_like_the_simplex(seed, sides, cut):
+    # a box cut by one half-space: the closed form's feasibility, point and
+    # bounds against the simplex on the same rows, objectives parallel to
+    # the cut included
+    rng = np.random.default_rng(seed)
+    d = len(sides)
+    C, c = _box_rows(rng, d, sides, tight=False)
+    a, beta = _cut_row(rng, region_lp(Polyhedron(C, c, dim=d)), d, cut)
+    P = Polyhedron(np.vstack([C, a]), np.append(c, beta), dim=d)
+    got, lp = region_lp(P), simplex.RegionLP(P.C, P.c)
+    assert isinstance(got, BoxLP)
+    assert got.feasible == lp.feasible
+    if not got.feasible:
+        assert got.point() is None
+        with pytest.raises(InfeasibleRegionError):
+            got.bounds(np.ones((1, d)))
+        return
+    assert P.contains(got.point())
+    O = np.vstack([_objectives(rng, d, 6), 2.0 * a, -0.5 * a])
+    # a cut tangent to a box inverted within FEAS_TOL leaves the simplex
+    # anywhere in a band of that width, as in the test above
+    inverted = "inverted within tol" in sides
+    for o, g, w in zip(O, got.bounds(O), lp.bounds(O)):
+        slack = np.abs(o).sum() * FEAS_TOL * inverted
+        for u, v in zip(g, w):
+            tol = 1e-9 * max(1.0, abs(v)) + slack
+            assert u == v if np.isinf(v) else abs(u - v) <= tol, (o, g, w)
+
+
+def test_a_large_objective_on_a_free_coordinate_stays_bounded():
+    # the dual sits at o_0 / a_0, where o_0 - (o_0 / a_0) a_0 rounds to as
+    # much as 1e-7 for o_0 near 1e9: the free coordinate's term must still be
+    # exactly zero there, not an infinite side opened by the rounding
+    P = Polyhedron([[0.0, 1.0], [0.0, -1.0], [1.0, 3.0]], [1.0, 1.0, 0.5])
+    O = np.column_stack([np.linspace(1e7, 1e9, 41), np.linspace(-1.0, 1.0, 41)])
+    got, want = region_lp(P).bounds(O), simplex.RegionLP(P.C, P.c).bounds(O)
+    assert np.isfinite(got[:, 1]).all()
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+
+
+def test_regions_with_two_general_rows_use_the_simplex():
+    # a box cut by two half-spaces is past the closed form
+    P = Polyhedron(np.vstack([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]]), np.ones(5))
+    assert isinstance(region_lp(P), simplex.RegionLP)
+    with pytest.raises(ValueError):
+        BoxLP(P.C, P.c)
+
+
 def _maxpool_net(rng):
     return lc.Network([
         lc.AffineLayer(rng.normal(size=(6, 3)), rng.normal(size=6)),
@@ -153,3 +226,13 @@ def test_sides_near_the_float_range_answer_without_overflow_warnings():
                       lc.AffineLayer([[1.0, 1.0]], [0.0])])
     assert np.isfinite(lc.symprop_bound(net, B, lc.NormPair(2, 2)))
     assert not lc.is_feasible(Polyhedron.from_box([1e308], [-1e308]))
+
+
+def test_solve_on_sides_near_the_float_range_answers_exact():
+    # every child region is the box cut by one half-space, so no simplex
+    # tableau overflows on offsets near 1e308, and nothing warns
+    net = lc.Network([lc.AffineLayer([[1.0, 2.0], [3.0, -1.0]], [0.0, 0.0]), lc.relu(2),
+                      lc.AffineLayer([[1.0, 1.0]], [0.0])])
+    res = lc.solve(net, Polyhedron.from_box([-1e308] * 2, [1e308] * 2))
+    assert res.status == "exact" and res.gub >= np.sqrt(17.0)
+    assert res.gub == pytest.approx(np.sqrt(17.0), rel=1e-12)

@@ -256,10 +256,12 @@ def test_bounds_on_sides_near_the_float_range_warns_nothing(tmp_path):
 
 
 def test_compute_on_sides_near_the_float_range_exits_with_a_message(tmp_path):
-    # the LPs of the child regions overflow: the solve refuses to answer,
-    # and no numpy warning reaches stderr
+    # the simplex LPs of the grandchild regions (two cuts each) overflow: the
+    # solve refuses to answer, and no numpy warning reaches stderr
     model = write_json(tmp_path / "wide.json", {"layers": [
         {"type": "affine", "W": [[1.0, 2.0], [3.0, -1.0]]},
+        {"type": "relu"},
+        {"type": "affine", "W": [[1.0, -2.0], [2.0, 1.0]]},
         {"type": "relu"},
         {"type": "affine", "W": [[1.0, 1.0]]},
     ]})
@@ -268,4 +270,4 @@ def test_compute_on_sides_near_the_float_range_exits_with_a_message(tmp_path):
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 1
     assert "Warning" not in proc.stderr
-    assert proc.stderr.splitlines()[-1].startswith("lipcert: ")
+    assert proc.stderr.splitlines()[-1].startswith("lipcert: simplex tableau overflowed")

@@ -129,10 +129,10 @@ def _one_direction_case(act, region):
 @ONE_DIRECTION
 def test_one_direction_groups_build_only_the_region_lp(act, region_lps):
     # each group's pieces share one row direction: its two LPs over the
-    # region decide the group, with no piece region built. The cut keeps the
-    # region off the closed-form box path.
+    # region decide the group, with no piece region built. Two cuts keep the
+    # region off the closed-form path.
     region = stack(lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]),
-                   lc.Polyhedron([[1.0, 1.0]], [1.5]))
+                   lc.Polyhedron([[1.0, 1.0], [1.0, -1.0]], [1.5, 1.5]))
     _one_direction_case(act, region)
     assert [(A.shape, list(c)) for A, c in region_lps] == [(region.C.shape, list(region.c))]
 
@@ -141,6 +141,14 @@ def test_one_direction_groups_build_only_the_region_lp(act, region_lps):
 def test_one_direction_groups_over_a_box_build_no_simplex_lp(act, region_lps):
     # a box region's LPs are answered in closed form
     _one_direction_case(act, lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]))
+    assert region_lps == []
+
+
+@ONE_DIRECTION
+def test_one_direction_groups_over_a_cut_box_build_no_simplex_lp(act, region_lps):
+    # so are those of a box cut by one half-space
+    _one_direction_case(act, stack(lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]),
+                                   lc.Polyhedron([[1.0, 1.0]], [1.5])))
     assert region_lps == []
 
 

@@ -201,7 +201,8 @@ def test_load_region_roundtrip(tmp_path):
 # one LP per region: every query of a region shares its phase 1
 
 def test_queries_of_one_region_build_one_lp(region_lps):
-    P = Polyhedron([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+    # two rows over both coordinates keep the region off the closed-form path
+    P = Polyhedron([[1.0, 1.0], [1.0, -1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 1.0, 0.0, 0.0])
     assert is_feasible(P)
     assert P.contains(feasible_point(P))
     assert linear_bounds(P, [1.0, 2.0]) == pytest.approx((0.0, 2.0))
@@ -214,8 +215,8 @@ def test_queries_of_one_region_build_one_lp(region_lps):
 
 def test_kept_lp_answers_like_a_fresh_one():
     # the kept LP serves every query in any order, bit for bit as a new one
-    # would; rows with two or more non-zero entries keep the region off the
-    # closed-form box path
+    # would; two or more rows with several non-zero entries keep the region
+    # off the closed-form path
     rng = np.random.default_rng(23)
 
     def answers(kind, lp, cost):
@@ -227,7 +228,7 @@ def test_kept_lp_answers_like_a_fresh_one():
         return lp.point().tobytes()
 
     for _ in range(40):
-        d, m = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+        d, m = int(rng.integers(2, 5)), int(rng.integers(2, 9))
         C = rng.normal(size=(m, d))
         P = Polyhedron(C, C @ rng.normal(size=d) + rng.uniform(-0.5, 1.0, size=m))
         kept = region_lp(P)
@@ -269,9 +270,31 @@ def test_box_regions_build_no_simplex_lp(region_lps):
 
 
 def test_rowless_and_multi_entry_regions_use_the_simplex():
-    # a zero row encodes emptiness; a row over two coordinates is no box
+    # a zero row encodes emptiness; two rows over several coordinates are
+    # more than one cut
     assert isinstance(region_lp(Polyhedron([[0.0, 0.0]], [-1.0])), simplex.RegionLP)
-    assert isinstance(region_lp(Polyhedron([[1.0, 1.0]], [1.0])), simplex.RegionLP)
+    assert isinstance(region_lp(Polyhedron([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0])),
+                      simplex.RegionLP)
+
+
+def test_regions_with_one_cut_build_no_simplex_lp(region_lps):
+    # a box or the whole space cut by one half-space is answered in closed
+    # form, with the answers of the simplex on the same rows
+    for P in (Polyhedron([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0]),
+              Polyhedron([[1.0, 1.0]], [1.0])):
+        lp = region_lp(P)
+        assert isinstance(lp, BoxLP) and region_lp(P) is lp
+        assert is_feasible(P) and P.contains(feasible_point(P))
+    assert region_lps == []
+    P = Polyhedron([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0, 0.0])
+    assert linear_bounds(P, [1.0, 2.0]) == pytest.approx((0.0, 2.0))
+    assert support_value(P, [1.0, -1.0]) == pytest.approx(1.0)
+    lo, hi = coordinate_bounds(P)
+    np.testing.assert_allclose(lo, [0.0, 0.0])
+    np.testing.assert_allclose(hi, [1.0, 1.0])
+    H = Polyhedron([[1.0, 1.0]], [1.0])
+    assert linear_bounds(H, [2.0, 2.0]) == (-np.inf, pytest.approx(2.0))
+    assert linear_bounds(H, [1.0, 0.0]) == (-np.inf, np.inf)
 
 
 def test_box_lp_answers():

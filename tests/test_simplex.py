@@ -272,7 +272,10 @@ def test_region_lp_refuses_an_overflowed_tableau(monkeypatch, min_stack):
 
 
 def test_solve_on_sides_near_the_float_range_raises():
+    # the grandchild regions carry two cuts, so their LPs reach the simplex,
+    # whose pivots overflow on offsets near 1e308
     net = lc.Network([lc.AffineLayer([[1.0, 2.0], [3.0, -1.0]], [0.0, 0.0]), lc.relu(2),
+                      lc.AffineLayer([[1.0, -2.0], [2.0, 1.0]], [0.0, 0.0]), lc.relu(2),
                       lc.AffineLayer([[1.0, 1.0]], [0.0])])
     with pytest.raises(LpSolverError, match="overflow"):
         lc.solve(net, lc.Polyhedron.from_box([-1e308] * 2, [1e308] * 2))
@@ -303,13 +306,12 @@ def test_lps_with_offsets_near_the_float_range_answer_or_raise(monkeypatch):
 
 
 def test_stacked_lps_that_overflow_end_in_an_overflow_error(monkeypatch):
-    # an overflow leaves a NaN ratio, which picks no leaving row; the stack
-    # pivots on regardless, and at the pivot budget the error names the
-    # overflow, not the budget
+    # an overflow leaves a NaN ratio, which picks no leaving row: the stack
+    # stops at that pivot, at the default pivot budget, and the error names
+    # the overflow
     A = np.array([[-1.0, 1.0], [1.0, 2.0], [-3.0, 3.0], [2.0, -2.0], [-3.0, 2.0], [1.0, 0.0]])
     b = np.array([0.0, -1e308, 0.0, 1.0, 1e308, 1e307])
     monkeypatch.setattr(simplex, "_MIN_STACK", 4)
-    monkeypatch.setattr(simplex, "_MAX_PIVOTS", 200)
     with pytest.raises(LpSolverError) as err:
         RegionLP(A, b).bounds([[-1.0, 0.0], [-2.0, 1.0], [-1.0, -2.0]])
     assert err.value.phase == "overflow"
