@@ -6,8 +6,10 @@ the region, from which the star (undecided) neurons, the interval hull of
 the kept rows and the decided affine map are derived. The first layer with a
 star splits the network into an exactly folded linear prefix and an interval
 tail; the tail's interval Jacobian gives the subproblem's upper bound.
-Branching keeps one piece of the first star neuron's group, pulls the
-piece's constraints back to input space, and re-filters deeper layers.
+Branching scores the stars of the first star layer by slope width through
+the exact prefix times the tail's abs envelope (`star_scores`), keeps one
+piece of the highest-scoring star's group (ties to the lowest index), pulls
+the piece's constraints back to input space, and re-filters deeper layers.
 Subproblems without stars are linear on their region, so their bound is
 exact and feeds the global lower bound. A region keeps its LP
 (`polyhedra.region_lp`), so a child's feasibility test and its re-filtering
@@ -147,10 +149,33 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
     return replace(sub, layers=tuple(layers), first_star_layer=l, prefix=LinearPrefix(J, b))
 
 
+def star_scores(sub: Subproblem, net: Network) -> np.ndarray:
+    """Branching score of each star of the first star layer, in `stars` order.
+
+    Star n scores `‖(λ⁺[n] − λ⁻[n]) |J|‖₂ · ‖E[:, n]‖₂`: how far its slope
+    row can vary, seen through the exact prefix J, times how much the tail
+    can amplify its output, where E = A_L |W_L| ⋯ A_{lt+1} |W_{lt+1}| with
+    A_l the abs envelope of layer l's slope hull. For ReLU this is BaBSR's
+    cheap score (Bunel et al., JMLR 2020). It is built from absolute values
+    and norms, so permuting or sign-flipping inputs or outputs leaves the
+    scores unchanged, and permuting hidden neurons permutes them.
+    """
+    lt = sub.first_star_layer
+    state = sub.layers[lt - 1]
+    E = np.eye(net.output_dim)
+    for l in range(net.depth, lt, -1):
+        E = E @ abs_upper_envelope(sub.layers[l - 1].lam_mat) @ np.abs(net.affine[l - 1].W)
+    stars = list(state.stars)
+    lam = state.lam_mat
+    width = (lam.upper[stars] - lam.lower[stars]) @ np.abs(sub.prefix.J)
+    return np.linalg.norm(width, axis=1) * np.linalg.norm(E[:, stars], axis=0)
+
+
 def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
            uid_counter=None):
-    """Split on the group of the first star neuron of the first star layer.
+    """Split on the group of the highest-scoring star of the first star layer.
 
+    Stars are scored by `star_scores`; ties go to the lowest neuron index.
     Returns (children, glb'): one child per piece the group keeps that is
     feasible on the region, each re-filtered, bounded and numbered from
     `uid_counter`; glb' lifts glb over children that came out fixed linear
@@ -164,7 +189,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
     lt = sub.first_star_layer
     act = net.activations[lt - 1]
     state = sub.layers[lt - 1]
-    neuron = state.stars[0]
+    neuron = state.stars[int(np.argmax(star_scores(sub, net)))]
     table = act.piece_table()
     g = table.order[neuron] // table.T.shape[2]  # the neuron's group
     children = []
@@ -264,7 +289,7 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
             # every subproblem is accounted for in glb
             gub = glb
         status = ("exact"
-                  if abs(gub - glb) <= EXACT_REL_TOL * max(1.0, abs(gub))
+                  if abs(gub - glb) <= EXACT_REL_TOL * abs(gub)
                   else "approx_reached")
     return SolveResult(glb, gub, status, iterations, created, fathomed_bounds,
                        fathomed_optimality, peak, time.perf_counter() - t0, history)

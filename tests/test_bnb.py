@@ -19,6 +19,7 @@ from lipcert import (
     solve,
     upper_bound,
 )
+from lipcert.bnb import star_scores
 from lipcert.intervals import owned_interval
 
 from conftest import make_abs_net, random_net, sample_in_region, unit_box
@@ -112,7 +113,8 @@ def test_branch_maxmin_fixes_whole_group():
 
 
 def test_branch_keeps_independent_star():
-    # branching neuron 0 cannot decide neuron 1, whose hyperplane still crosses
+    # branching neuron 0 cannot decide neuron 1, whose hyperplane still crosses;
+    # the two stars score alike, and the tie goes to the lower index
     net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.relu(2),
                    AffineLayer([[1.0, 1.0]], [0.0])])
     root = initial_subproblem(net, unit_box(2))
@@ -122,6 +124,67 @@ def test_branch_keeps_independent_star():
     for child in children:
         assert child.first_star_layer == 1
         assert child.stars[0] == (1,)
+
+
+def test_branch_splits_the_star_with_the_larger_outgoing_weight():
+    net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.relu(2),
+                   AffineLayer([[1.0, 10.0]], [0.0])])
+    root = initial_subproblem(net, unit_box(2))
+    assert root.stars[0] == (0, 1)
+    np.testing.assert_allclose(star_scores(root, net), [1.0, 10.0])
+    children, _ = branch(root, net, 0.0, PAIR22)
+    assert len(children) == 2
+    assert [child.stars[0] for child in children] == [(0,), (0,)]
+
+
+def test_branch_maxmin_fixes_the_group_of_the_top_star():
+    # group (2, 3) feeds the output ten times as strongly as group (0, 1)
+    net = Network([AffineLayer(np.eye(4), np.zeros(4)), lc.maxmin(4),
+                   AffineLayer([[1.0, -1.0, 10.0, -10.0]], [0.0])])
+    root = initial_subproblem(net, unit_box(4))
+    assert root.stars[0] == (0, 1, 2, 3)
+    scores = star_scores(root, net)
+    assert np.argmax(scores) == 2
+    children, _ = branch(root, net, 0.0, PAIR22)
+    assert len(children) == 2
+    for child in children:
+        assert child.first_star_layer == 1
+        assert child.stars[0] == (0, 1)
+        assert not child.layers[0].pieces[1].all()
+
+
+def test_a_star_the_output_ignores_scores_zero_and_still_ends_exact():
+    net = Network([AffineLayer([[1.0, 0.5], [-0.5, 1.0]], [0.1, -0.2]), lc.relu(2),
+                   AffineLayer([[0.0, 2.0]], [0.0])])
+    omega = unit_box(2)
+    root = initial_subproblem(net, omega)
+    assert root.stars[0] == (0, 1)
+    scores = star_scores(root, net)
+    assert scores[0] == 0.0 and scores[1] > 0.0
+    res = solve(net, omega)
+    assert res.status == "exact"
+    assert res.glb == pytest.approx(brute_force_oracle(net, omega, PAIR22), rel=1e-9)
+
+
+def _generated_relu_net(dims, seed):
+    """Weights N(0, 1)/sqrt(fan_in) and biases 0.1 N(0, 1), layer by layer."""
+    rng = np.random.default_rng(seed)
+    layers = []
+    for i, (fan_in, width) in enumerate(zip(dims, dims[1:])):
+        W = rng.normal(size=(width, fan_in)) / np.sqrt(fan_in)
+        layers.append(AffineLayer(W, 0.1 * rng.normal(size=width)))
+        if i < len(dims) - 2:
+            layers.append(lc.relu(width))
+    return Network(layers)
+
+
+def test_scored_branching_reaches_exact_in_few_iterations():
+    # 65 iterations when the first star was split; 27 with the score
+    net = _generated_relu_net([3, 10, 10, 2], 0)
+    res = solve(net, unit_box(3), SolverConfig(norm=NormPair(1, np.inf)))
+    assert res.status == "exact"
+    assert res.glb == pytest.approx(0.9436543516, rel=1e-9)
+    assert res.iterations <= 30
 
 
 def test_branch_derives_each_child_state_once(monkeypatch):
@@ -270,6 +333,29 @@ def test_solve_theta_brackets_truth():
         assert res.glb - 1e-9 <= exact_val <= res.gub + 1e-9
         assert res.gub <= 1.5 * res.glb + 1e-9
         assert res.status in ("exact", "approx_reached")
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+def test_scaling_the_output_layer_scales_the_bracket_and_keeps_the_status(seed):
+    # a bracket narrower than 1e-9 was called exact at c = 1e-10 only, however
+    # wide it was against gub; seed 9 stops at theta with a bracket of ratio 1.1
+    rng = np.random.default_rng(seed)
+    W1, b1, W2 = rng.normal(size=(6, 2)), rng.normal(size=6), rng.normal(size=(1, 6))
+    omega = unit_box(2)
+    cfg = SolverConfig(theta=1.5)
+
+    def solve_scaled(c):
+        return solve(Network([AffineLayer(W1, b1), lc.relu(6), AffineLayer(c * W2, [0.0])]),
+                     omega, cfg)
+
+    base = solve_scaled(1.0)
+    for c in (1e-10, 1e6):
+        res = solve_scaled(c)
+        assert res.status == base.status
+        assert res.glb == pytest.approx(c * base.glb, rel=1e-9)
+        assert res.gub == pytest.approx(c * base.gub, rel=1e-9)
+        if res.status == "exact":
+            assert res.gub - res.glb <= 1e-9 * res.gub
 
 
 def test_solve_history_is_monotone():
