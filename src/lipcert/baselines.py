@@ -47,8 +47,9 @@ def sampled_lower_bound(net: Network, omega: Polyhedron, pair: NormPair,
     time would make, so the result does not depend on the batch size.
     """
     n_samples, seed = _integer(n_samples, "n_samples"), _integer(seed, "seed")
-    if n_samples < 0:
-        raise ValueError("n_samples must be non-negative")
+    for name, value in (("n_samples", n_samples), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative")
     if n_samples == 0:
         return 0.0
     if omega.dim != net.input_dim:

@@ -69,9 +69,9 @@ class SolverConfig:
         # written as `not x >= bound` so that NaN is rejected too
         if not self.theta >= 1.0:
             raise ValueError(f"theta must be >= 1, got {self.theta}")
-        if _integer(self.sample_count, "sample_count") < 0:
-            raise ValueError("sample_count must be non-negative")
-        _integer(self.seed, "seed")
+        for name in ("sample_count", "seed"):
+            if _integer(getattr(self, name), name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be non-negative")
         if self.max_iterations is not None and _integer(self.max_iterations, "max_iterations") < 0:

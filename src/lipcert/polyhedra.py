@@ -1,11 +1,11 @@
 """Half-space polyhedra with LP-backed feasibility and bound queries.
 
 Each region keeps the LP object `region_lp` builds for it on first use, and
-every query of the region asks that object. A region whose rows each bound a
-single coordinate, but for at most one general row (a box or the whole
-space, either cut by one half-space), gets a `BoxLP`, which answers from the
-box's sides and the cut's dual in closed form; every other region gets a
-`simplex.RegionLP`.
+every feasibility and bound query of the region asks that object. A region
+whose rows each bound a single coordinate, but for at most one general row
+(a box or the whole space, either cut by one half-space), gets a `BoxLP`,
+which answers from the box's sides and the cut's dual in closed form; every
+other region gets a `simplex.RegionLP`.
 """
 from __future__ import annotations
 
@@ -142,7 +142,7 @@ class BoxLP:
     """The LPs of a region whose rows each bound one coordinate, except at
     most one general row a.x <= beta (a box, the whole space, or either cut
     by one half-space), answered in closed form with the queries this module
-    asks of a `simplex.RegionLP` (`feasible`, `point()` and `bounds()`): each
+    asks of a `simplex.RegionLP` (`feasible` and `bounds()`): each
     coordinate i lies in [lo_i, hi_i], the tightest of its rows' bounds c / a.
 
     The region is empty when the box's total inversion
@@ -193,31 +193,6 @@ class BoxLP:
                 least = np.where(a != 0.0, np.minimum(a * lo, a * hi), 0.0).sum()
                 excess += np.fmax(least - self._beta, 0.0)
         self.feasible = bool(excess <= FEAS_TOL)
-
-    def point(self) -> np.ndarray | None:
-        """A point of the region, or None if it is empty: the point of the box
-        nearest the origin, with coordinates moved in order toward the side
-        that lowers a.x until the cut holds."""
-        if not self.feasible:
-            return None
-        x = np.clip(0.0, self._lo, self._hi)
-        if self._a is None:
-            return x
-        a = self._a
-        excess = a @ x - self._beta
-        if excess <= 0.0:
-            return x
-        target = np.where(a > 0.0, np.minimum(self._lo, self._hi), np.maximum(self._lo, self._hi))
-        with np.errstate(invalid="ignore", over="ignore"):  # inf gains where a side is infinite
-            gain = np.where(a != 0.0, a * (x - target), 0.0)
-        cum = np.cumsum(gain)
-        if cum[-1] < excess:  # violated within FEAS_TOL over the whole box
-            return np.where(a != 0.0, target, x)
-        j = int((cum >= excess).argmax())
-        rest = excess - cum[j - 1] if j else excess
-        x[:j] = np.where(a[:j] != 0.0, target[:j], x[:j])
-        x[j] -= rest / a[j]
-        return x
 
     def bounds(self, objectives) -> np.ndarray:
         """(inf, sup) of o.x over the region for each row o of the (k, dim)
@@ -279,8 +254,8 @@ def region_lp(P: Polyhedron) -> BoxLP | simplex.RegionLP:
     """The LPs of P: a `BoxLP` when every row of P bounds one coordinate but
     at most one (a box or the whole space, either cut by one half-space),
     else a `simplex.RegionLP`, which runs phase 1 when it is built and phase
-    2 for the objectives asked of it. Every later call returns the same
-    object."""
+    2 for the objectives asked of it. Either answers `feasible` and
+    `bounds()` only. Every later call returns the same object."""
     if P._lp is None:
         # no row without a non-zero entry, and at most one with several
         entries = np.count_nonzero(P.C, axis=1)
@@ -292,8 +267,9 @@ def region_lp(P: Polyhedron) -> BoxLP | simplex.RegionLP:
 
 
 def feasible_point(P: Polyhedron) -> np.ndarray | None:
-    """A point of P (within the LP feasibility slack), or None if P is empty."""
-    return region_lp(P).point()
+    """A point of P (within the LP feasibility slack), or None if P is empty;
+    a phase 1 of its own on P's rows, apart from P's kept LP."""
+    return simplex.feasible_point(P.C, P.c)
 
 
 def is_feasible(P: Polyhedron) -> bool:

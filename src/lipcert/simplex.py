@@ -20,7 +20,8 @@ runs them one by one in the 2-D kernel, which costs less per pivot there.
 over several coordinates, so every query of such a region shares its phase 1;
 the LPs of a box, or of a box cut by one half-space, are answered in closed
 form there (`polyhedra.BoxLP`) and never reach this module.
-`solve_lp` and `feasible_point` are the one-query uses of the same object.
+A region answers `feasible` and `bounds()` only; `solve_lp` and
+`feasible_point` build one and read a single answer off its tableau.
 No answer is read from a tableau whose pivots overflowed to inf or NaN.
 """
 from __future__ import annotations
@@ -203,13 +204,13 @@ def _basic_point(T, basis, d):
 class RegionLP:
     """The LPs of one region A x <= b: phase 1 once, then phase 2 from its basis.
 
-    Phase 1 is settled at construction: it sets `feasible` and the basic
-    point, and on a feasible region it drives the remaining artificial
-    variables out of the basis and drops their columns. The tableau it
-    leaves is the only one kept; each objective runs phase 2 on a copy of it.
+    Phase 1 is settled at construction: it sets `feasible`, and on a
+    feasible region it drives the remaining artificial variables out of the
+    basis and drops their columns. The tableau it leaves is the only one
+    kept; each objective runs phase 2 on a copy of it.
     """
 
-    __slots__ = ("dim", "feasible", "_T", "_basis", "_budget", "_point")
+    __slots__ = ("dim", "feasible", "_T", "_basis", "_budget")
 
     # `_finite` refuses what overflows, so numpy's warnings would only repeat it
     @np.errstate(all="ignore")
@@ -225,7 +226,6 @@ class RegionLP:
             raise LpSolverError("phase-1 simplex did not terminate", phase="phase1")
         _finite(T)
         self.feasible = bool(-T[-1, -1] <= FEAS_TOL)
-        self._point = _basic_point(T, basis, self.dim) if self.feasible else None
         if self.feasible and T.shape[1] > first_art + 1:
             # an artificial still basic (at zero) in row r always has a pivot:
             # the slack of its own constraint stays the negated artificial
@@ -237,10 +237,6 @@ class RegionLP:
             # artificial columns may never re-enter phase 2
             T = np.delete(T, np.s_[first_art:-1], axis=1)
         self._T, self._basis, self._budget = T, basis, _MAX_PIVOTS - used
-
-    def point(self) -> np.ndarray | None:
-        """The basic point phase 1 ends at (within FEAS_TOL), or None if empty."""
-        return None if self._point is None else self._point.copy()
 
     def _objectives(self, costs) -> np.ndarray:
         """The full cost rows (u, v, slack columns, rhs) of the rows of `costs`."""
@@ -260,27 +256,13 @@ class RegionLP:
         return T, basis, status
 
     @np.errstate(all="ignore")
-    def minimize(self, cost) -> LpResult:
-        """min cost.x over the region, from the saved post-phase-1 basis."""
-        cost = np.asarray(cost, dtype=float).reshape(-1)
-        if cost.shape[0] != self.dim:
-            raise ValueError("cost length does not match the variable count")
-        if not self.feasible:
-            return LpResult("infeasible", None, float("inf"))
-        T, basis, status = self._solve(self._objectives(cost[None])[0])
-        x = _basic_point(T, basis, self.dim)
-        if status == "unbounded":
-            return LpResult("unbounded", x, float("-inf"))
-        return LpResult("optimal", x, float(-T[-1, -1]))
-
-    @np.errstate(all="ignore")
     def bounds(self, objectives) -> np.ndarray:
         """(inf, sup) of o.x over the region for each row o of the (k, dim)
         matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
 
         The 2k phase-2 LPs run in stacks of up to _STACK tableau elements;
         a stack of fewer than _MIN_STACK tableaux runs them one by one. Each
-        answer is bit for bit that of `minimize(o)` and `minimize(-o)`.
+        answer is bit for bit that of `solve_lp` on the same rows for o and -o.
         Raises InfeasibleRegionError on an empty region, LpSolverError on overflow.
         """
         if not self.feasible:
@@ -310,11 +292,24 @@ class RegionLP:
         return np.stack([lo, hi], axis=1)
 
 
+@np.errstate(all="ignore")
 def solve_lp(A, b, cost) -> LpResult:
-    """min cost.x subject to A x <= b, x free."""
-    return RegionLP(A, b).minimize(cost)
+    """min cost.x subject to A x <= b, x free: one phase 2 on a `RegionLP`."""
+    lp = RegionLP(A, b)
+    cost = np.asarray(cost, dtype=float).reshape(-1)
+    if cost.shape[0] != lp.dim:
+        raise ValueError("cost length does not match the variable count")
+    if not lp.feasible:
+        return LpResult("infeasible", None, float("inf"))
+    T, basis, status = lp._solve(lp._objectives(cost[None])[0])
+    x = _basic_point(T, basis, lp.dim)
+    if status == "unbounded":
+        return LpResult("unbounded", x, float("-inf"))
+    return LpResult("optimal", x, float(-T[-1, -1]))
 
 
 def feasible_point(A, b) -> np.ndarray | None:
-    """A point satisfying A x <= b (within FEAS_TOL), or None."""
-    return RegionLP(A, b).point()
+    """A point satisfying A x <= b (within FEAS_TOL), or None: the basic
+    point of the tableau phase 1 leaves."""
+    lp = RegionLP(A, b)
+    return _basic_point(lp._T, lp._basis, lp.dim) if lp.feasible else None

@@ -118,9 +118,8 @@ def sample_in_region(region: lc.Polyhedron, rng, count: int, reject_budget=100):
             pts.append(x)
     if len(pts) < count:
         verts = []
-        lp = simplex.RegionLP(region.C, region.c)
         for _ in range(max(4, 2 * region.dim)):
-            res = lp.minimize(rng.normal(size=region.dim))
+            res = simplex.solve_lp(region.C, region.c, rng.normal(size=region.dim))
             if res.status == "optimal":
                 verts.append(res.x)
         if verts:

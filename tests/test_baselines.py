@@ -80,6 +80,12 @@ def test_sampled_lower_zero_samples():
         sampled_lower_bound(make_abs_net(), unit_box(1), PAIR22, -1)
 
 
+@pytest.mark.parametrize("n_samples", [0, 5])
+def test_sampled_lower_rejects_a_negative_seed(n_samples):
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        sampled_lower_bound(make_abs_net(), unit_box(1), PAIR22, n_samples, seed=-3)
+
+
 def test_sampled_lower_is_deterministic():
     rng = np.random.default_rng(33)
     net = random_net(rng)

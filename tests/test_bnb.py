@@ -358,6 +358,23 @@ def test_scaling_the_output_layer_scales_the_bracket_and_keeps_the_status(seed):
             assert res.gub - res.glb <= 1e-9 * res.gub
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1(a): _decide calls a piece containing within the absolute FEAS_TOL "
+    "= 1e-9, so pre-activations near 1e-10 are decided wrongly"))
+def test_a_net_scaled_by_1e_10_keeps_its_bracket_sound():
+    # the benchmark's scale probe 0: every bias and the first layer scaled by
+    # c scale f, and so L, by c (positive homogeneity); solve ended exact at
+    # 4.07e-11 against c L = 4.69e-10
+    c = 1e-10
+    net = random_net(np.random.default_rng(7))
+    layers = []
+    for l, (aff, act) in enumerate(zip(net.affine, net.activations)):
+        layers += [AffineLayer(aff.W * (c if l == 0 else 1.0), c * aff.b), act]
+    want = c * brute_force_oracle(net, unit_box(net.input_dim), PAIR22)
+    res = solve(Network(layers), unit_box(net.input_dim))
+    assert res.glb <= want * (1 + 1e-9) and want <= res.gub * (1 + 1e-9)
+
+
 def test_solve_history_is_monotone():
     rng = np.random.default_rng(27)
     for _ in range(8):
@@ -382,6 +399,29 @@ def test_solve_matches_oracle_all_norms():
             res = solve(net, omega, SolverConfig(norm=pair))
             assert res.status == "exact"
             assert res.glb == pytest.approx(want, rel=1e-6, abs=1e-9)
+
+
+def test_twin_neurons_keep_glb_sound_on_cut_regions():
+    # neurons 0, 1 and 3 share one hyperplane, so a child can fix 0 active and
+    # 1 inactive on the face {w.x + b = 0}: that face is linear with a
+    # Jacobian norm far above L, and only the containment test's slack keeps
+    # it from reaching glb. Two cuts put every child on the simplex.
+    rng = np.random.default_rng(0)
+    bad = []
+    for trial in range(60):
+        w, v = rng.normal(size=2), rng.normal(size=2)
+        b, b_v = rng.normal(size=2)
+        net = Network([AffineLayer([w, w, v, 3.0 * w], [b, b, b_v, 3.0 * b]), lc.relu(4),
+                       AffineLayer([[1.0, -1.0, 0.1, 0.0]], [0.0])])
+        A = rng.normal(size=(2, 2))
+        cuts = Polyhedron(A, A @ rng.uniform(-0.5, 0.5, size=2) + rng.uniform(0.1, 1.0, size=2))
+        omega = lc.stack(unit_box(2), cuts)
+        for pair in (PAIR22, NormPair(1, np.inf)):
+            want = brute_force_oracle(net, omega, pair)
+            res = solve(net, omega, SolverConfig(norm=pair))
+            if not (res.glb <= want * (1 + 1e-9) and want <= res.gub * (1 + 1e-9)):
+                bad.append((trial, str(pair), res.glb, want, res.gub))
+    assert bad == []
 
 
 def test_solve_on_subproblem_callback():
@@ -448,6 +488,10 @@ def test_solver_config_validation():
         SolverConfig(theta=float("nan"))
     with pytest.raises(ValueError):
         SolverConfig(time_limit=float("nan"))
+    # numpy's default_rng refused it inside `solve`, in words without "seed"
+    for cfg in (dict(seed=-1), dict(seed=-1, sample_count=5)):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SolverConfig(**cfg)
 
 
 @pytest.mark.parametrize("make", [

@@ -190,6 +190,15 @@ def test_usage_errors_exit_64(abs_model, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["compute", "bounds"])
+def test_negative_seed_exits_1_naming_the_seed(abs_model, capsys, command):
+    code, out, err = run_cli(capsys, [command, "--model", abs_model, "--box", "-1,1",
+                                      "--samples", "5", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+
+
 def test_infeasible_region_exit_code(abs_model, tmp_path, capsys):
     region = write_json(tmp_path / "empty.json",
                         {"dim": 1, "C": [[1.0], [-1.0]], "c": [-1.0, -1.0]})

@@ -137,17 +137,12 @@ def test_result_type():
     assert res.status == "unbounded"
 
 
-# RegionLP: phase 1 once per region, phase 2 per objective
+# RegionLP: phase 1 once per region, phase 2 per objective; solve_lp runs
+# the same phase 1 and one phase 2 of its own
 
 def _linprog(A, b, cost):
     d = A.shape[1]
     return linprog(cost, A_ub=A, b_ub=b, bounds=[(None, None)] * d, method="highs")
-
-
-def _same(r1, r2):
-    return (r1.status == r2.status and r1.value == r2.value
-            and (r1.x is None) == (r2.x is None)
-            and (r1.x is None or np.array_equal(r1.x, r2.x)))
 
 
 def _random_system(rng):
@@ -164,6 +159,11 @@ def _random_system(rng):
     return A, b
 
 
+def _bound_of(lp, cost):
+    """min cost.x as `bounds` answers it, -inf where unbounded."""
+    return lp.bounds(np.asarray(cost, dtype=float)[None])[0, 0]
+
+
 def test_region_lp_matches_solve_lp_and_scipy():
     rng = np.random.default_rng(11)
     kinds = set()
@@ -172,8 +172,9 @@ def test_region_lp_matches_solve_lp_and_scipy():
         lp = RegionLP(A, b)
         for _ in range(3):
             cost = rng.normal(size=A.shape[1])
-            res = lp.minimize(cost)
-            assert _same(res, solve_lp(A, b, cost))
+            res = solve_lp(A, b, cost)
+            if lp.feasible:
+                assert _bound_of(lp, cost).hex() == float(res.value).hex()
             ref = _linprog(A, b, cost)
             kinds.add(res.status)
             if ref.status == 0:
@@ -196,7 +197,7 @@ def test_region_lp_negative_rhs_needs_artificials():
     b = np.array([-1.0, -2.0, 5.0])
     lp = RegionLP(A, b)
     assert lp.feasible
-    assert np.all(A @ lp.point() <= b + FEAS_TOL)
+    assert np.all(A @ feasible_point(A, b) <= b + FEAS_TOL)
     assert tuple(lp.bounds([[1.0, 0.0]])[0]) == pytest.approx((1.0, 3.0), abs=1e-9)
     assert tuple(lp.bounds([[0.0, 1.0]])[0]) == pytest.approx((2.0, 4.0), abs=1e-9)
     assert lp.bounds([[1.0, 1.0]])[0, 1] == pytest.approx(5.0, abs=1e-9)
@@ -210,8 +211,8 @@ def test_region_lp_redundant_rows_drive_out():
     lp = RegionLP(A, b)
     assert lp.feasible
     for cost in ([1.0], [-1.0], [0.0]):
-        res = lp.minimize(cost)
-        assert _same(res, solve_lp(A, b, cost))
+        res = solve_lp(A, b, cost)
+        assert _bound_of(lp, cost).hex() == float(res.value).hex()
         assert res.status == "optimal"
         assert res.x == pytest.approx([1.0], abs=1e-9)
 
@@ -224,13 +225,13 @@ def test_region_lp_zero_rows():
                                   [[-np.inf, np.inf], [0.0, 0.0]])
     empty = RegionLP(A, np.array([0.0, -1.0, 2.0]))  # 0 <= -1
     assert not empty.feasible
-    assert empty.point() is None
-    assert empty.minimize([1.0, 0.0]).status == "infeasible"
+    assert feasible_point(A, np.array([0.0, -1.0, 2.0])) is None
+    assert solve_lp(A, np.array([0.0, -1.0, 2.0]), [1.0, 0.0]).status == "infeasible"
     with pytest.raises(InfeasibleRegionError):
         empty.bounds([[1.0, 0.0]])
     none = RegionLP(np.zeros((0, 2)), np.zeros(0))
     assert none.feasible
-    np.testing.assert_array_equal(none.point(), np.zeros(2))
+    np.testing.assert_array_equal(feasible_point(np.zeros((0, 2)), np.zeros(0)), np.zeros(2))
     assert none.bounds([[0.0, 1.0]])[0, 1] == np.inf
 
 
@@ -241,20 +242,24 @@ def test_region_lp_answers_do_not_depend_on_query_order():
         A = np.vstack([A, -A[:2]])
         b = np.concatenate([b, -b[:2] + 0.5])  # rows with negative offsets
         costs = rng.normal(size=(8, A.shape[1]))
+        order = rng.permutation(len(costs))
         forward = RegionLP(A, b)
-        backward = RegionLP(A, b)
-        first = [forward.minimize(c) for c in costs]
-        second = [backward.minimize(c) for c in costs[::-1]][::-1]
-        again = [forward.minimize(c) for c in costs]
-        for r1, r2, r3 in zip(first, second, again):
-            assert _same(r1, r2) and _same(r1, r3)
+        shuffled = RegionLP(A, b)
+        if not forward.feasible:
+            assert not shuffled.feasible
+            continue
+        first = forward.bounds(costs)
+        second = np.empty_like(first)
+        second[order] = shuffled.bounds(costs[order])
+        again = forward.bounds(costs)
+        assert first.tobytes() == second.tobytes() == again.tobytes()
 
 
 def test_region_lp_rejects_bad_shapes():
     with pytest.raises(ValueError):
         RegionLP(np.zeros((2, 2)), np.zeros(3))
     with pytest.raises(ValueError):
-        RegionLP(np.zeros((2, 2)), np.zeros(2)).minimize(np.zeros(3))
+        solve_lp(np.zeros((2, 2)), np.zeros(2), np.zeros(3))
 
 
 @pytest.mark.parametrize("min_stack", [4, 100])
@@ -263,12 +268,13 @@ def test_region_lp_refuses_an_overflowed_tableau(monkeypatch, min_stack):
     # them overflows, so every phase-2 answer, stacked or one by one, raises
     # (the suite turns any RuntimeWarning into an error)
     A = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 2.0], [3.0, -1.0]])
-    lp = RegionLP(A, np.array([1e308] * 4 + [0.0, 0.0]))
+    b = np.array([1e308] * 4 + [0.0, 0.0])
+    lp = RegionLP(A, b)
     monkeypatch.setattr(simplex, "_MIN_STACK", min_stack)
     with pytest.raises(LpSolverError, match="overflow"):
         lp.bounds([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0]])
     with pytest.raises(LpSolverError, match="overflow"):
-        lp.minimize([1.0, 1.0])
+        solve_lp(A, b, [1.0, 1.0])
 
 
 def test_solve_on_sides_near_the_float_range_raises():
