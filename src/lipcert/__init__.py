@@ -27,7 +27,6 @@ from .baselines import layerwise_bound, sampled_lower_bound, symprop_bound
 from .bnb import (
     SolveResult,
     SolverConfig,
-    Subproblem,
     branch,
     brute_force_oracle,
     ffilter,
@@ -59,8 +58,8 @@ from .polyhedra import (
     stack,
 )
 from .symprop import (
-    InitPattern,
     LayerState,
+    Subproblem,
     analyze_activation_layer,
     symprop,
     symprop_trace,
@@ -76,7 +75,6 @@ __all__ = [
     "GuardrailExceededError",
     "IdentityActivation",
     "InfeasibleRegionError",
-    "InitPattern",
     "IntervalMatrix",
     "LayerState",
     "LinearPrefix",

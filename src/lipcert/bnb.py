@@ -1,9 +1,10 @@
 """Best-first branch-and-bound for exact Lipschitz constants.
 
-Each subproblem is a polyhedral subset of the input region plus one
-`LayerState` per activation layer: the pieces each branch group keeps over
-the region, from which the star (undecided) neurons, the interval hull of
-the kept rows and the decided affine map are derived. The first layer with a
+Each node is a `symprop.Subproblem`: a polyhedral subset of the input region
+plus one `LayerState` per activation layer, the pieces each branch group
+keeps over the region, from which the star (undecided) neurons, the interval
+hull of the kept rows and the decided affine map are derived. The symbolic
+pass gives the root; `branch` gives the rest. The first layer with a
 star splits the network into an exactly folded linear prefix and an interval
 tail; the tail's interval Jacobian gives the subproblem's upper bound.
 Branching scores the stars of the first star layer by slope width through
@@ -11,7 +12,8 @@ the exact prefix times the tail's abs envelope (`star_scores`), keeps one
 piece of the highest-scoring star's group (ties to the lowest index), pulls
 the piece's constraints back to input space, and re-filters deeper layers.
 Subproblems without stars are linear on their region, so their bound is
-exact and feeds the global lower bound. A region keeps its LP
+exact and feeds the global lower bound; `solve` settles the root and every
+child in one place. A region keeps its LP
 (`polyhedra.region_lp`), so a child's feasibility test and its re-filtering
 share one phase 1, or one closed form for a child of a box root.
 """
@@ -33,27 +35,10 @@ from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
 from . import simplex
 from .simplex import solve_lp
-from .symprop import LayerState, analyze_activation_layer, symprop
+from .symprop import LayerState, Subproblem, analyze_activation_layer, symprop
 
 EXACT_REL_TOL = 1e-9
 ORACLE_COMBINATION_CAP = 1_000_000
-
-
-@dataclass(frozen=True)
-class Subproblem:
-    """Immutable branch-and-bound node."""
-
-    region: Polyhedron
-    layers: tuple[LayerState, ...]
-    first_star_layer: int
-    prefix: LinearPrefix
-    ub: float = float("nan")
-    uid: int = 0
-
-    @property
-    def stars(self) -> tuple[tuple[int, ...], ...]:
-        """Star neurons per layer: `stars[l - 1]` for layer l."""
-        return tuple(state.stars for state in self.layers)
 
 
 @dataclass(frozen=True)
@@ -171,21 +156,18 @@ def star_scores(sub: Subproblem, net: Network) -> np.ndarray:
     return np.linalg.norm(width, axis=1) * np.linalg.norm(E[:, stars], axis=0)
 
 
-def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
-           uid_counter=None):
+def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair):
     """Split on the group of the highest-scoring star of the first star layer.
 
     Stars are scored by `star_scores`; ties go to the lowest neuron index.
     Returns (children, glb'): one child per piece the group keeps that is
-    feasible on the region, each re-filtered, bounded and numbered from
-    `uid_counter`; glb' lifts glb over children that came out fixed linear
-    (their bound is an exact Lipschitz value).
+    feasible on the region, each re-filtered and bounded; glb' lifts glb
+    over children that came out fixed linear (their bound is an exact
+    Lipschitz value).
     """
     L = net.depth
     if sub.first_star_layer > L:
         raise ValueError("branch called on a subproblem with no star neurons")
-    if uid_counter is None:
-        uid_counter = itertools.count(1)
     lt = sub.first_star_layer
     act = net.activations[lt - 1]
     state = sub.layers[lt - 1]
@@ -201,7 +183,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
         pieces = state.pieces.copy()
         pieces[g] = np.arange(pieces.shape[1]) == p
         layers = sub.layers[: lt - 1] + (LayerState(act, pieces),) + sub.layers[lt:]
-        child = Subproblem(reg, layers, lt, sub.prefix, uid=next(uid_counter))
+        child = Subproblem(reg, layers, lt, sub.prefix)
         child = ffilter(child, net)
         child = replace(child, ub=upper_bound(child, net, pair))
         if child.first_star_layer == L + 1:
@@ -211,18 +193,19 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair,
 
 
 def initial_subproblem(net: Network, omega: Polyhedron) -> Subproblem:
-    """Root node: the symbolic pass's layer states and folded prefix."""
-    pattern = symprop(net, omega)
-    return Subproblem(omega, pattern.layers, pattern.first_star_layer, pattern.prefix)
+    """Root node: the symbolic pass over omega."""
+    return symprop(net, omega)
 
 
 def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
           on_subproblem=None) -> SolveResult:
     """Best-first branch-and-bound until gub <= theta * glb or a limit fires.
 
-    The heap is keyed on the upper bound, ties broken in creation order.
+    The heap is keyed on the upper bound, ties broken in push order.
     Popped entries whose bound no longer beats glb are discarded lazily.
-    One node is branched per iteration, in the calling thread.
+    One node is branched per iteration, in the calling thread. The root and
+    every child are settled alike: a linear node lifts glb, a node whose
+    bound does not beat glb is fathomed, and any other is pushed.
     """
     if cfg is None:
         cfg = SolverConfig()
@@ -230,32 +213,34 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
     pair = cfg.norm
     root = initial_subproblem(net, omega)
     root = replace(root, ub=upper_bound(root, net, pair))
-    if on_subproblem is not None:
-        on_subproblem(root)
     L = net.depth
     glb = 0.0
     if cfg.sample_count > 0:
         from .baselines import sampled_lower_bound
 
         glb = sampled_lower_bound(net, omega, pair, cfg.sample_count, cfg.seed)
-    created = 1
-    fathomed_bounds = 0
-    fathomed_optimality = 0
-    iterations = 0
-    if root.first_star_layer == L + 1:
-        # the whole region is one linear piece; the bound is the exact value
-        glb = gub = root.ub
-        return SolveResult(glb, gub, "exact", 0, created, 0, 0, 1,
-                           time.perf_counter() - t0, [(glb, gub)])
     gub = root.ub
     glb = min(glb, gub)
-    heap = [(-root.ub, root.uid, root)]
-    peak = 1
-    history = [(glb, gub)]
-    uid_counter = itertools.count(1)
-    status = None
-    while heap:
-        if not gub > cfg.theta * glb:
+    created = fathomed_bounds = fathomed_optimality = iterations = peak = 0
+    heap, pushes, history = [], itertools.count(), []
+    status, nodes = None, [root]
+    while True:
+        for sub in nodes:
+            created += 1
+            if on_subproblem is not None:
+                on_subproblem(sub)
+            if sub.first_star_layer == L + 1:
+                # linear on its region: the bound is an exact value
+                glb = max(glb, min(sub.ub, gub))
+                fathomed_optimality += 1
+            elif sub.ub <= glb:
+                fathomed_bounds += 1
+            else:
+                heapq.heappush(heap, (-sub.ub, next(pushes), sub))
+        gub = min(gub, max(glb, -heap[0][0] if heap else glb))
+        peak = max(peak, len(heap))
+        history.append((glb, gub))
+        if not heap or not gub > cfg.theta * glb:
             break
         if cfg.time_limit is not None and time.perf_counter() - t0 >= cfg.time_limit:
             status = "time_limit"
@@ -266,24 +251,10 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
         _, _, sub = heapq.heappop(heap)
         if sub.ub <= glb:
             fathomed_bounds += 1
+            nodes = []
         else:
-            children, _ = branch(sub, net, glb, pair, uid_counter)
+            nodes, _ = branch(sub, net, glb, pair)
             iterations += 1
-            for child in children:
-                created += 1
-                if on_subproblem is not None:
-                    on_subproblem(child)
-                if child.first_star_layer == L + 1:
-                    glb = max(glb, min(child.ub, gub))
-                    fathomed_optimality += 1
-                elif child.ub <= glb:
-                    fathomed_bounds += 1
-                else:
-                    heapq.heappush(heap, (-child.ub, child.uid, child))
-        top = -heap[0][0] if heap else glb
-        gub = min(gub, max(glb, top))
-        peak = max(peak, len(heap))
-        history.append((glb, gub))
     if status is None:
         if not heap:
             # every subproblem is accounted for in glb

@@ -74,10 +74,6 @@ def _add_common(parser, with_samples=False, with_solver=False):
                             help="Jacobian samples for the lower bound (default 0)")
         parser.add_argument("--seed", type=int, default=0,
                             help="sampling seed (default 0)")
-        parser.add_argument("--sample-box", type=_pair_of_floats, metavar="LO,HI",
-                            default=DEFAULT_SAMPLE_BOX,
-                            help="fallback box for unbounded coordinates "
-                                 f"(default {DEFAULT_SAMPLE_BOX[0]:g},{DEFAULT_SAMPLE_BOX[1]:g})")
     if with_solver:
         parser.add_argument("--theta", type=float, default=1.0,
                             help="early-stop ratio gub/glb (default 1 = exact)")
@@ -212,6 +208,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(handler=_cmd_compute)
     p_bounds = sub.add_parser("bounds", help="cheap bounds without branching")
     _add_common(p_bounds, with_samples=True)
+    p_bounds.add_argument("--sample-box", type=_pair_of_floats, metavar="LO,HI",
+                          default=DEFAULT_SAMPLE_BOX,
+                          help="fallback box for unbounded coordinates "
+                               f"(default {DEFAULT_SAMPLE_BOX[0]:g},{DEFAULT_SAMPLE_BOX[1]:g})")
     p_bounds.set_defaults(handler=_cmd_bounds)
     p_oracle = sub.add_parser("oracle", help="brute-force piece enumeration")
     _add_common(p_oracle)

@@ -159,7 +159,7 @@ def _build_tableau(A, b):
     negative right-hand side, then the right-hand side. Those rows are negated
     and start with their artificial basic; the rest start with their slack
     basic; the last row is the reduced cost of 1 per artificial (their rows
-    subtracted in order). Returns (T, basis, first artificial column).
+    subtracted in order). Returns (T, basis, rows with an artificial).
     """
     m, d = A.shape
     art_rows = np.flatnonzero(b < 0)
@@ -177,7 +177,7 @@ def _build_tableau(A, b):
     T[-1] = np.subtract.reduce(np.vstack([T[-1:], T[art_rows]]), axis=0)
     basis = 2 * d + np.arange(m)
     basis[art_rows] = first_art + np.arange(n_art)
-    return T, basis, first_art
+    return T, basis, art_rows
 
 
 def _set_objectives(T, basis, objs):
@@ -220,18 +220,22 @@ class RegionLP:
         if A.ndim != 2 or A.shape[0] != b.shape[0]:
             raise ValueError("constraint shapes are inconsistent")
         self.dim = A.shape[1]
-        T, basis, first_art = _build_tableau(A, b)
+        T, basis, art_rows = _build_tableau(A, b)
+        first_art = 2 * self.dim + A.shape[0]
         status, used = _run_simplex(T, basis, _MAX_PIVOTS)
         if status != "optimal":
             raise LpSolverError("phase-1 simplex did not terminate", phase="phase1")
         _finite(T)
         self.feasible = bool(-T[-1, -1] <= FEAS_TOL)
         if self.feasible and T.shape[1] > first_art + 1:
-            # an artificial still basic (at zero) in row r always has a pivot:
-            # the slack of its own constraint stays the negated artificial
-            # column through every pivot, so it holds -1 in row r
+            # an artificial still basic in row r (at zero, or at a residue
+            # within FEAS_TOL) is driven out through the slack of its own
+            # constraint: that column stays the negated artificial column
+            # through every pivot, so it holds -1 in row r, and the pivot
+            # moves the point by the residue alone, where another column's
+            # entry in row r may be a sliver the residue is divided by
             for r in np.flatnonzero(basis >= first_art):
-                j = int(np.flatnonzero(np.abs(T[r, :first_art]) > PIVOT_TOL)[0])
+                j = 2 * self.dim + art_rows[basis[r] - first_art]
                 _pivot(T, r, j)
                 basis[r] = j
             # artificial columns may never re-enter phase 2

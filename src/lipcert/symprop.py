@@ -1,4 +1,9 @@
-"""Symbolic forward analysis over an input region.
+"""Symbolic forward analysis over an input region, and the search's nodes.
+
+A branch-and-bound node is a `Subproblem`: a region plus one `LayerState`
+per activation layer, the first layer with a star, and the exact linear
+prefix up to it. The symbolic pass (`symprop`) returns the root node over
+the input region; branching (`bnb.branch`) derives every other node from it.
 
 The analysis walks the network once, carrying every post-activation value as
 an affine expression B x_sym + b over the original inputs plus one auxiliary
@@ -91,12 +96,19 @@ class LayerState:
 
 
 @dataclass(frozen=True)
-class InitPattern:
-    """Per-layer activation state produced by the symbolic pass."""
+class Subproblem:
+    """Branch-and-bound node: a region and each activation layer's state over it."""
 
+    region: Polyhedron
     layers: tuple[LayerState, ...]
     first_star_layer: int  # 1-based; depth + 1 when the whole net is decided
     prefix: LinearPrefix  # the exact map up to the first star layer's input
+    ub: float = float("nan")
+
+    @property
+    def stars(self) -> tuple[tuple[int, ...], ...]:
+        """Star neurons per layer: `stars[l - 1]` for layer l."""
+        return tuple(state.stars for state in self.layers)
 
 
 def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
@@ -217,7 +229,10 @@ def _extend_domain(dom: Polyhedron, bounds) -> Polyhedron:
     return Polyhedron(C, np.concatenate([dom.c, box.c]), dim=dom.dim + box.dim)
 
 
-def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
+def symprop_trace(net: Network, omega: Polyhedron):
+    """(root, trace): the symbolic pass over omega, whose root `Subproblem`
+    is the seed of branch-and-bound, and per layer its stars, their ranges
+    and the affine envelope B_hat, b_hat of the post-activation values."""
     if omega.dim != net.input_dim:
         raise ValueError(f"region dimension {omega.dim} does not match input {net.input_dim}")
     if not is_feasible(omega):
@@ -227,7 +242,7 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
     bb = net.affine[0].b.copy()
     layers = []
     first, prefix = net.depth + 1, None
-    trace = [] if collect_trace else None
+    trace = []
     for l in range(1, net.depth + 1):
         act = net.activations[l - 1]
         aux = {}
@@ -242,13 +257,7 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
         for k, n in enumerate(state.stars):
             Bhat[n, dom.dim + k] = 1.0
         bhat = state.fixed_T @ bb + state.fixed_t
-        if collect_trace:
-            trace.append({
-                "stars": state.stars,
-                "aux_bounds": aux,
-                "Bhat": Bhat.copy(),
-                "bhat": bhat.copy(),
-            })
+        trace.append({"stars": state.stars, "aux_bounds": aux, "Bhat": Bhat, "bhat": bhat})
         if n_star:
             dom = _extend_domain(dom, [aux[n] for n in state.stars])
         if l < net.depth:
@@ -257,15 +266,9 @@ def _symprop_impl(net: Network, omega: Polyhedron, collect_trace: bool):
             bb = aff.W @ bhat + aff.b
     if prefix is None:
         prefix = LinearPrefix(Bhat, bhat)
-    return InitPattern(tuple(layers), first, prefix), trace
+    return Subproblem(omega, tuple(layers), first, prefix), trace
 
 
-def symprop(net: Network, omega: Polyhedron) -> InitPattern:
-    """One symbolic forward pass; the seed state for branch-and-bound."""
-    pattern, _ = _symprop_impl(net, omega, collect_trace=False)
-    return pattern
-
-
-def symprop_trace(net: Network, omega: Polyhedron):
-    """(pattern, per-layer trace) with the affine envelopes B_hat, b_hat kept."""
-    return _symprop_impl(net, omega, collect_trace=True)
+def symprop(net: Network, omega: Polyhedron) -> Subproblem:
+    """One symbolic forward pass: the root node of branch-and-bound over omega."""
+    return symprop_trace(net, omega)[0]

@@ -427,13 +427,39 @@ def test_twin_neurons_keep_glb_sound_on_cut_regions():
 def test_solve_on_subproblem_callback():
     net = make_cancel_net()
     seen = []
-    solve(net, unit_box(1), on_subproblem=seen.append)
-    assert seen[0].uid == 0  # the root comes first
+    omega = unit_box(1)
+    solve(net, omega, on_subproblem=seen.append)
+    assert seen[0].region is omega  # the root comes first
     assert len(seen) >= 3
-    uids = [s.uid for s in seen]
-    assert uids == sorted(uids)
     for s in seen:
         assert np.isfinite(s.ub)
+
+
+def _three_x() -> Network:
+    return Network([AffineLayer([[3.0]], [0.0])])
+
+
+def test_a_linear_root_is_settled_like_a_leaf():
+    seen = []
+    omega = Polyhedron.from_box([-1.0], [1.0])
+    res = solve(_three_x(), omega, on_subproblem=seen.append)
+    assert res.status == "exact"
+    assert (res.iterations, res.subproblems_created) == (0, 1)
+    assert (res.fathomed_bounds, res.fathomed_optimality, res.peak_heap_size) == (0, 1, 0)
+    assert len(seen) == 1 and seen[0].region is omega
+    assert res.bounds_history == [(res.glb, res.gub)]
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1(b): every glb source reads induced_norm, whose (2,2) path rounds "
+    "up for the gub side; glb needs its own rounding"))
+def test_glb_never_exceeds_the_exact_constant_under_2_2():
+    # f(x) = 3x has L = 3 exactly, yet both glb sources gave 3 + 2.7e-15
+    omega = Polyhedron.from_box([-1.0], [1.0])
+    res = solve(_three_x(), omega)
+    assert res.status == "exact"
+    assert lc.sampled_lower_bound(_three_x(), omega, PAIR22, 5) <= 3.0
+    assert res.glb <= 3.0
 
 
 def test_solve_seeding_shrinks_peak_heap():

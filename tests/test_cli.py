@@ -187,6 +187,11 @@ def test_usage_errors_exit_64(abs_model, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["explain", "--model", abs_model])
     assert exc.value.code == 64
+    # --sample-box is a bounds flag: compute has no use for it
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--model", abs_model, "--global", "--samples", "5",
+              "--sample-box=0,1"])
+    assert exc.value.code == 64
     capsys.readouterr()
 
 

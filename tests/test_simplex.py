@@ -217,6 +217,34 @@ def test_region_lp_redundant_rows_drive_out():
         assert res.x == pytest.approx([1.0], abs=1e-9)
 
 
+def _sliver_system(rng):
+    """Unit rows of scales 1e-6 to 1e2 through a point x0, some rows repeated
+    negated (offset jittered by 1e-13) and tripled: phase 1 can end with an
+    artificial basic at zero in a row whose other entries are slivers."""
+    d, m = rng.integers(2, 5), rng.integers(2, 6)
+    A = rng.normal(size=(m, d)) * 10.0 ** rng.integers(-6, 3, size=(m, 1))
+    x0 = rng.normal(size=d)
+    b = A @ x0 + abs(rng.normal(size=m)) * (rng.random(m) < 0.5)
+    k = rng.integers(1, m + 1)
+    idx = rng.choice(m, k, replace=False)
+    A, b = (np.vstack([A, -A[idx], 3.0 * A[idx]]),
+            np.concatenate([b, -A[idx] @ x0 + 1e-13 * rng.normal(size=k), 3.0 * A[idx] @ x0]))
+    norm = np.linalg.norm(A, axis=1)
+    return A / norm[:, None], b / norm
+
+
+def test_region_lp_drives_an_artificial_out_through_its_own_slack():
+    # system 278 left an artificial in a row whose first entry above
+    # PIVOT_TOL was a sliver; pivoting on it put the point 2.4e-9 outside
+    # (a jitter scaled up by normalisation leaves some systems empty)
+    rng = np.random.default_rng(0)
+    for _ in range(279):
+        A, b = _sliver_system(rng)
+        x = feasible_point(A, b)
+        assert x is None or np.all(A @ x <= b + FEAS_TOL)
+    assert A.shape == (13, 4) and x is not None
+
+
 def test_region_lp_zero_rows():
     A = np.zeros((3, 2))
     lp = RegionLP(A, np.array([0.0, 1.0, 2.0]))
