@@ -45,7 +45,7 @@ from .exceptions import (
     UnsupportedNormError,
 )
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul
-from .network import AffineLayer, LinearPrefix, Network, load_model, network_from_json
+from .network import AffineLayer, Network, load_model, network_from_json
 from .norms import NormPair, induced_norm
 from .polyhedra import (
     Polyhedron,
@@ -77,7 +77,6 @@ __all__ = [
     "InfeasibleRegionError",
     "IntervalMatrix",
     "LayerState",
-    "LinearPrefix",
     "LipcertError",
     "LpSolverError",
     "MaxPoolActivation",

@@ -1,21 +1,20 @@
 """Best-first branch-and-bound for exact Lipschitz constants.
 
 Each node is a `symprop.Subproblem`: a polyhedral subset of the input region
-plus one `LayerState` per activation layer, the pieces each branch group
-keeps over the region, from which the star (undecided) neurons, the interval
-hull of the kept rows and the decided affine map are derived. The symbolic
-pass gives the root; `branch` gives the rest. The first layer with a
-star splits the network into an exactly folded linear prefix and an interval
-tail; the tail's interval Jacobian gives the subproblem's upper bound.
-Branching scores the stars of the first star layer by slope width through
-the exact prefix times the tail's abs envelope (`star_scores`), keeps one
-piece of the highest-scoring star's group (ties to the lowest index), pulls
-the piece's constraints back to input space, and re-filters deeper layers.
-Subproblems without stars are linear on their region, so their bound is
-exact and feeds the global lower bound; `solve` settles the root and every
-child in one place. A region keeps its LP
-(`polyhedra.region_lp`), so a child's feasibility test and its re-filtering
-share one phase 1, or one closed form for a child of a box root.
+plus one `LayerState` per activation layer, the pieces each branch group keeps
+over the region, from which the star (undecided) neurons, the interval hull of
+the kept rows and the decided affine map are derived. The symbolic pass gives
+the root; `branch` gives the rest. The first layer with a star splits the
+network into a prefix, folded exactly into the node's `J`, `b`, and an
+interval tail; the tail's interval Jacobian gives the upper bound. Branching
+scores the stars of the first star layer by slope width through the exact
+prefix times the tail's abs envelope (`star_scores`), keeps one piece of the
+highest-scoring star's group (ties to the lowest index), pulls the piece's
+constraints back to input space, and re-filters deeper layers. A node without
+stars is `linear` on its region, so its bound is exact and feeds the global
+lower bound; `solve` settles the root and every child in one place. A region
+keeps its LP (`polyhedra.region_lp`), so a child's feasibility test and its
+re-filtering share one phase 1, or one closed form for a child of a box root.
 """
 from __future__ import annotations
 
@@ -30,7 +29,7 @@ from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverE
 # hull is not called here; it stays importable from this module because
 # perfbench/layertrace.py rebinds it here by name.
 from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul  # noqa: F401
-from .network import LinearPrefix, Network
+from .network import Network
 from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
 from . import simplex
@@ -80,15 +79,14 @@ class SolveResult:
 def interval_jacobian(sub: Subproblem, net: Network) -> IntervalMatrix:
     """Entrywise bracket of the network Jacobian over the subproblem's region.
 
-    Exact through the folded linear prefix, interval hulls from the first
-    star layer on. Fully decided subproblems give a degenerate interval.
+    Exact through the folded prefix J, interval hulls from the first star
+    layer on. Linear subproblems give a degenerate interval.
     """
-    L = net.depth
-    if sub.first_star_layer == L + 1:
-        return exact(sub.prefix.J)
+    if sub.linear:
+        return exact(sub.J)
     lt = sub.first_star_layer
-    M = interval_matmul(sub.layers[lt - 1].lam_mat, exact(sub.prefix.J))
-    for l in range(lt + 1, L + 1):
+    M = interval_matmul(sub.layers[lt - 1].lam_mat, exact(sub.J))
+    for l in range(lt + 1, net.depth + 1):
         M = interval_matmul(exact(net.affine[l - 1].W), M)
         M = interval_matmul(sub.layers[l - 1].lam_mat, M)
     return M
@@ -96,8 +94,8 @@ def interval_jacobian(sub: Subproblem, net: Network) -> IntervalMatrix:
 
 def upper_bound(sub: Subproblem, net: Network, pair: NormPair) -> float:
     """Norm of the interval Jacobian: exact prefix, interval hulls after it."""
-    if sub.first_star_layer == net.depth + 1:
-        return induced_norm(sub.prefix.J, pair)
+    if sub.linear:
+        return induced_norm(sub.J, pair)
     return induced_norm(abs_upper_envelope(interval_jacobian(sub, net)), pair)
 
 
@@ -106,17 +104,14 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
 
     Each layer is re-analysed with its state as the record, so only the
     groups keeping several pieces are examined, on those pieces. Layers
-    whose neurons all turn out decided are absorbed into the linear prefix
-    and the first star layer advances past them. The scan stops at the
-    first layer that keeps a star neuron; deeper layers keep their recorded
-    state.
+    whose neurons all turn out decided are folded into J and b, and the
+    first star layer advances past them. The scan stops at the first layer
+    that keeps a star neuron; deeper layers keep their recorded state.
     """
-    l = sub.first_star_layer
-    L = net.depth
-    if l > L:
+    if sub.linear:
         return sub
-    J = sub.prefix.J
-    b = sub.prefix.b
+    l, J, b = sub.first_star_layer, sub.J, sub.b
+    L = net.depth
     layers = list(sub.layers)
     while l <= L:
         state = analyze_activation_layer(net.activations[l - 1], sub.region, J, b,
@@ -131,7 +126,7 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
             J = aff.W @ J
             b = aff.W @ b + aff.b
         l += 1
-    return replace(sub, layers=tuple(layers), first_star_layer=l, prefix=LinearPrefix(J, b))
+    return replace(sub, layers=tuple(layers), first_star_layer=l, J=J, b=b)
 
 
 def star_scores(sub: Subproblem, net: Network) -> np.ndarray:
@@ -152,7 +147,7 @@ def star_scores(sub: Subproblem, net: Network) -> np.ndarray:
         E = E @ abs_upper_envelope(sub.layers[l - 1].lam_mat) @ np.abs(net.affine[l - 1].W)
     stars = list(state.stars)
     lam = state.lam_mat
-    width = (lam.upper[stars] - lam.lower[stars]) @ np.abs(sub.prefix.J)
+    width = (lam.upper[stars] - lam.lower[stars]) @ np.abs(sub.J)
     return np.linalg.norm(width, axis=1) * np.linalg.norm(E[:, stars], axis=0)
 
 
@@ -165,8 +160,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair):
     over children that came out fixed linear (their bound is an exact
     Lipschitz value).
     """
-    L = net.depth
-    if sub.first_star_layer > L:
+    if sub.linear:
         raise ValueError("branch called on a subproblem with no star neurons")
     lt = sub.first_star_layer
     act = net.activations[lt - 1]
@@ -177,16 +171,16 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair):
     children = []
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):
-        reg = table.cut(g, p, sub.region, sub.prefix.J, sub.prefix.b)
+        reg = table.cut(g, p, sub.region, sub.J, sub.b)
         if not is_feasible(reg):
             continue
         pieces = state.pieces.copy()
         pieces[g] = np.arange(pieces.shape[1]) == p
         layers = sub.layers[: lt - 1] + (LayerState(act, pieces),) + sub.layers[lt:]
-        child = Subproblem(reg, layers, lt, sub.prefix)
+        child = Subproblem(reg, layers, lt, sub.J, sub.b)
         child = ffilter(child, net)
         child = replace(child, ub=upper_bound(child, net, pair))
-        if child.first_star_layer == L + 1:
+        if child.linear:
             new_glb = max(new_glb, child.ub)
         children.append(child)
     return children, new_glb
@@ -213,7 +207,6 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
     pair = cfg.norm
     root = initial_subproblem(net, omega)
     root = replace(root, ub=upper_bound(root, net, pair))
-    L = net.depth
     glb = 0.0
     if cfg.sample_count > 0:
         from .baselines import sampled_lower_bound
@@ -229,8 +222,7 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
             created += 1
             if on_subproblem is not None:
                 on_subproblem(sub)
-            if sub.first_star_layer == L + 1:
-                # linear on its region: the bound is an exact value
+            if sub.linear:
                 glb = max(glb, min(sub.ub, gub))
                 fathomed_optimality += 1
             elif sub.ub <= glb:

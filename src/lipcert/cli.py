@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -59,6 +60,23 @@ def _pair_of_floats(text: str):
     return lo, hi
 
 
+def _finite_box(text: str):
+    lo, hi = _pair_of_floats(text)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise argparse.ArgumentTypeError("box sides must be finite; --global is the whole space")
+    return lo, hi
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_common(parser, with_samples=False, with_solver=False):
     parser.add_argument("--model", required=True, help="model JSON file")
     parser.add_argument("--norm", default="2", metavar="P[:Q]",
@@ -66,7 +84,7 @@ def _add_common(parser, with_samples=False, with_solver=False):
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--global", dest="global_region", action="store_true",
                        help="whole input space")
-    group.add_argument("--box", type=_pair_of_floats, metavar="LO,HI",
+    group.add_argument("--box", type=_finite_box, metavar="LO,HI",
                        help="hypercube [LO, HI]^d")
     group.add_argument("--region", metavar="PATH", help="region JSON file")
     if with_samples:
@@ -75,10 +93,10 @@ def _add_common(parser, with_samples=False, with_solver=False):
         parser.add_argument("--seed", type=int, default=0,
                             help="sampling seed (default 0)")
     if with_solver:
-        parser.add_argument("--theta", type=float, default=1.0,
+        parser.add_argument("--theta", type=_finite_float, default=1.0,
                             help="early-stop ratio gub/glb (default 1 = exact)")
-        parser.add_argument("--time-limit", type=float, default=None,
-                            help="wall-clock budget in seconds")
+        parser.add_argument("--time-limit", type=_finite_float, default=None,
+                            help="wall-clock budget in seconds (default: none)")
         parser.add_argument("--max-iterations", type=int, default=None,
                             help="branching budget")
 
@@ -107,7 +125,7 @@ def _region_echo(args):
 
 
 def _print_report(report):
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _cmd_compute(args) -> int:

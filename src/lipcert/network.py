@@ -1,4 +1,4 @@
-"""Network container, model JSON I/O, evaluation, and the folded linear prefix.
+"""Network container, model JSON I/O, and evaluation.
 
 A network is a strict alternation of affine and piecewise-linear activation
 layers. Constructors accept any interleaving and pad with identity layers so
@@ -46,24 +46,6 @@ class AffineLayer:
     @property
     def out_dim(self) -> int:
         return self.W.shape[0]
-
-
-@dataclass(frozen=True)
-class LinearPrefix:
-    """Composed affine map x -> J x + b of an already-decided network prefix."""
-
-    J: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        J = np.asarray(self.J, dtype=float)
-        b = np.asarray(self.b, dtype=float).reshape(-1)
-        if J.ndim != 2 or b.shape[0] != J.shape[0]:
-            raise ValueError("prefix map shapes are inconsistent")
-        J.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "J", J)
-        object.__setattr__(self, "b", b)
 
 
 class Network:
@@ -210,7 +192,10 @@ def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
         if kind == "relu":
             return act_mod.relu(width)
         if kind == "leaky_relu":
-            return act_mod.leaky_relu(width, float(entry["slope"]))
+            slope = _finite_array(entry["slope"], layer, "slope")
+            if slope.ndim:
+                raise ModelFormatError(f"layer {layer}: slope must be a number")
+            return act_mod.leaky_relu(width, float(slope))
         if kind == "prelu":
             return act_mod.prelu(width, _finite_array(entry["slopes"], layer, "slopes"))
         if kind == "spline":
@@ -264,7 +249,7 @@ def network_from_json(data) -> Network:
                 )
             layers.append(aff)
             width = aff.out_dim
-        elif kind in _ACTIVATION_FIELDS:
+        elif isinstance(kind, str) and kind in _ACTIVATION_FIELDS:
             if width is None:
                 raise ModelFormatError(
                     f"layer {i}: an activation cannot open the model; widths are "

@@ -1,9 +1,10 @@
 """Symbolic forward analysis over an input region, and the search's nodes.
 
 A branch-and-bound node is a `Subproblem`: a region plus one `LayerState`
-per activation layer, the first layer with a star, and the exact linear
-prefix up to it. The symbolic pass (`symprop`) returns the root node over
-the input region; branching (`bnb.branch`) derives every other node from it.
+per activation layer, the first layer with a star, and the exact affine map
+J x + b of the decided layers before it. The symbolic pass (`symprop`)
+returns the root node over the input region; branching (`bnb.branch`)
+derives every other node from it.
 
 The analysis walks the network once, carrying every post-activation value as
 an affine expression B x_sym + b over the original inputs plus one auxiliary
@@ -47,7 +48,7 @@ import numpy as np
 from .activations import PieceTable, PwlActivation
 from .exceptions import InfeasibleRegionError, LpSolverError
 from .intervals import owned_interval
-from .network import LinearPrefix, Network
+from .network import Network
 # affine_preimage, linear_bounds, stack and support_value are not called here;
 # they stay importable from this module because perfbench/layertrace.py
 # rebinds them here by name.
@@ -97,13 +98,24 @@ class LayerState:
 
 @dataclass(frozen=True)
 class Subproblem:
-    """Branch-and-bound node: a region and each activation layer's state over it."""
+    """Branch-and-bound node: a region, each activation layer's state over it,
+    and the read-only J, b: the net is exactly J x + b up to the first star."""
 
     region: Polyhedron
     layers: tuple[LayerState, ...]
     first_star_layer: int  # 1-based; depth + 1 when the whole net is decided
-    prefix: LinearPrefix  # the exact map up to the first star layer's input
+    J: np.ndarray
+    b: np.ndarray
     ub: float = float("nan")
+
+    def __post_init__(self):
+        self.J.setflags(write=False)
+        self.b.setflags(write=False)
+
+    @property
+    def linear(self) -> bool:
+        """No layer keeps a star: the net is J x + b on the region, so `ub` is exact."""
+        return self.first_star_layer > len(self.layers)
 
     @property
     def stars(self) -> tuple[tuple[int, ...], ...]:
@@ -241,16 +253,16 @@ def symprop_trace(net: Network, omega: Polyhedron):
     B = net.affine[0].W.copy()
     bb = net.affine[0].b.copy()
     layers = []
-    first, prefix = net.depth + 1, None
+    first, J, b = net.depth + 1, None, None
     trace = []
     for l in range(1, net.depth + 1):
         act = net.activations[l - 1]
         aux = {}
         state = analyze_activation_layer(act, dom, B, bb, aux=aux)
         layers.append(state)
-        if state.stars and prefix is None:
+        if state.stars and J is None:
             # no star before this layer, so (B, bb) is the exactly folded map
-            first, prefix = l, LinearPrefix(B, bb)
+            first, J, b = l, B, bb
         n_star = len(state.stars)
         Bhat = np.zeros((act.out_width, dom.dim + n_star))
         Bhat[:, : dom.dim] = state.fixed_T @ B
@@ -264,9 +276,9 @@ def symprop_trace(net: Network, omega: Polyhedron):
             aff = net.affine[l]
             B = aff.W @ Bhat
             bb = aff.W @ bhat + aff.b
-    if prefix is None:
-        prefix = LinearPrefix(Bhat, bhat)
-    return Subproblem(omega, tuple(layers), first, prefix), trace
+    if J is None:
+        J, b = Bhat, bhat
+    return Subproblem(omega, tuple(layers), first, J, b), trace
 
 
 def symprop(net: Network, omega: Polyhedron) -> Subproblem:

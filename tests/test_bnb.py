@@ -1,5 +1,5 @@
 import importlib
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -52,9 +52,23 @@ def test_upper_bound_abs_decided():
     net = make_abs_net()
     root = initial_subproblem(net, Polyhedron.from_box([1.0], [2.0]))
     assert root.first_star_layer == net.depth + 1
-    np.testing.assert_allclose(root.prefix.J, [[1.0]])
+    np.testing.assert_allclose(root.J, [[1.0]])
     assert upper_bound(root, net, PAIR22) == pytest.approx(1.0, abs=1e-12)
     assert interval_jacobian(root, net).is_degenerate()
+
+
+def test_a_node_holds_its_prefix_read_only_and_says_when_it_is_linear():
+    net = make_abs_net()
+    root = initial_subproblem(net, unit_box(1))
+    assert [f.name for f in fields(root)] == [
+        "region", "layers", "first_star_layer", "J", "b", "ub"]
+    children, _ = branch(root, net, 0.0, PAIR22)
+    for sub in (root, *children):
+        assert sub.linear == (sub.first_star_layer > net.depth)
+        for arr in (sub.J, sub.b):
+            with pytest.raises(ValueError):
+                arr[0] = 7.0
+    assert not root.linear and all(child.linear for child in children)
 
 
 def test_upper_bound_pure_affine():
@@ -87,7 +101,7 @@ def test_branch_abs_root():
         assert child.region.contains([inside])
         assert not child.region.contains([outside])
         assert child.ub == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(np.abs(child.prefix.J), [[1.0]], atol=1e-9)
+        np.testing.assert_allclose(np.abs(child.J), [[1.0]], atol=1e-9)
     assert glb == pytest.approx(1.0, abs=1e-9)
 
 
@@ -373,6 +387,20 @@ def test_a_net_scaled_by_1e_10_keeps_its_bracket_sound():
     want = c * brute_force_oracle(net, unit_box(net.input_dim), PAIR22)
     res = solve(Network(layers), unit_box(net.input_dim))
     assert res.glb <= want * (1 + 1e-9) and want <= res.gub * (1 + 1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1(a): polyhedra._sup_terms counts a reduced coefficient within "
+    "PIVOT_TOL on an infinite side as zero, so a star neuron is decided inactive"))
+def test_a_tiny_weight_over_the_whole_space_keeps_gub_sound():
+    # at x = (1e12, -1) both neurons are active with Jacobian [[1e-10, 10]],
+    # so L >= 10; solve ended exact at 5 after one iteration
+    net = Network([AffineLayer([[0.0, 1.0], [1e-11, 1.0]], [0.0, -1.0]), lc.relu(2),
+                   AffineLayer([[-5.0, 10.0]], [0.0])])
+    J, flagged = net.jacobian_at([1e12, -1.0])
+    assert not flagged and np.linalg.norm(J, 2) >= 10.0
+    res = solve(net, Polyhedron.universe(2))
+    assert res.gub >= 10.0 * (1 - 1e-9)
 
 
 def test_solve_history_is_monotone():

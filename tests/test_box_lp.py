@@ -208,8 +208,8 @@ def test_symbolic_pass_over_a_box_matches_the_simplex(kind, monkeypatch):
             got, trace = symprop_trace(net, omega)
             assert isinstance(region_lp(omega), BoxLP)
             assert got.first_star_layer == want.first_star_layer
-            assert got.prefix.J.tobytes() == want.prefix.J.tobytes()
-            assert got.prefix.b.tobytes() == want.prefix.b.tobytes()
+            assert got.J.tobytes() == want.J.tobytes()
+            assert got.b.tobytes() == want.b.tobytes()
             for g, w in zip(got.layers, want.layers):
                 assert np.array_equal(g.pieces, w.pieces) and g.stars == w.stars
             for g, w in zip(trace, want_trace):

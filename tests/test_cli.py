@@ -192,7 +192,44 @@ def test_usage_errors_exit_64(abs_model, capsys):
         main(["compute", "--model", abs_model, "--global", "--samples", "5",
               "--sample-box=0,1"])
     assert exc.value.code == 64
+    # non-finite numbers would print a report that is not JSON
+    for flags in (["--box=-inf,inf"], ["--global", "--theta", "inf"],
+                  ["--global", "--time-limit", "inf"], ["--global", "--theta", "nan"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["compute", "--model", abs_model, *flags])
+        assert exc.value.code == 64
     capsys.readouterr()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_compute_report_is_strict_json(abs_model, capsys):
+    code, out, _ = run_cli(capsys, ["compute", "--model", abs_model, "--global",
+                                    "--samples", "5", "--time-limit", "10"])
+    assert code == 0
+    report = json.loads(out, parse_constant=_reject_constant)
+    assert report["status"] == "exact"
+    assert report["config"]["time_limit"] == 10.0
+
+
+@pytest.mark.parametrize("layer", [
+    {"type": ["relu"]},
+    {"type": {"k": 1}},
+    {"type": "leaky_relu", "slope": None},
+    {"type": "leaky_relu", "slope": [0.1]},
+    {"type": "leaky_relu", "slope": {"k": 1}},
+])
+def test_malformed_layer_exits_65_naming_the_layer(tmp_path, layer):
+    model = write_json(tmp_path / "bad.json", {"layers": [
+        {"type": "affine", "W": [[1.0], [-1.0]]}, layer]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "lipcert.cli", "compute", "--model", model, "--global"],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 65
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].startswith("lipcert: layer 2")
 
 
 @pytest.mark.parametrize("command", ["compute", "bounds"])

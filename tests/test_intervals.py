@@ -23,7 +23,8 @@ def test_construction_validates():
 def test_exact_is_degenerate():
     A = np.array([[1.0, -2.0], [3.0, 4.0]])
     J = exact(A)
-    assert J.is_degenerate
+    assert J.is_degenerate()
+    assert not hull([A, -A]).is_degenerate()
     np.testing.assert_array_equal(J.lower, A)
     np.testing.assert_array_equal(J.upper, A)
     assert J.contains(A)

@@ -230,9 +230,9 @@ def test_load_model_bad_json(tmp_path):
 def test_lin_prop_first_affine_only():
     # on [-1, 1] layer 1 holds stars, so the prefix is the first affine layer
     net = make_abs_net()
-    pre = lc.initial_subproblem(net, unit_box(1)).prefix
-    np.testing.assert_array_equal(pre.J, [[1.0], [-1.0]])
-    np.testing.assert_array_equal(pre.b, [0.0, 0.0])
+    root = lc.initial_subproblem(net, unit_box(1))
+    np.testing.assert_array_equal(root.J, [[1.0], [-1.0]])
+    np.testing.assert_array_equal(root.b, [0.0, 0.0])
 
 
 def test_lin_prop_full_fold_on_decided_region():
@@ -240,8 +240,8 @@ def test_lin_prop_full_fold_on_decided_region():
     net = make_abs_net()
     root = lc.initial_subproblem(net, lc.Polyhedron.from_box([1.0], [2.0]))
     assert root.first_star_layer == net.depth + 1
-    np.testing.assert_allclose(root.prefix.J, [[1.0]])
-    np.testing.assert_allclose(root.prefix.b, [0.0])
+    np.testing.assert_allclose(root.J, [[1.0]])
+    np.testing.assert_allclose(root.b, [0.0])
 
 
 def test_lin_prop_matches_forward_on_linear_net():
@@ -250,7 +250,7 @@ def test_lin_prop_matches_forward_on_linear_net():
         AffineLayer(rng.normal(size=(3, 2)), rng.normal(size=3)),
         AffineLayer(rng.normal(size=(2, 3)), rng.normal(size=2)),
     ])
-    pre = lc.initial_subproblem(net, lc.Polyhedron.universe(2)).prefix
+    root = lc.initial_subproblem(net, lc.Polyhedron.universe(2))
     for _ in range(10):
         x = rng.normal(size=2)
-        np.testing.assert_allclose(pre.J @ x + pre.b, net.forward(x), atol=1e-9)
+        np.testing.assert_allclose(root.J @ x + root.b, net.forward(x), atol=1e-9)
