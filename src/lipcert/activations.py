@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import _integer
-from .polyhedra import Polyhedron
+from .polyhedra import FEAS_TOL, Polyhedron
 
 MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
 
@@ -76,7 +76,11 @@ class PieceTable(NamedTuple):
     positive, followed by the same directions negated: for
     n = len(D) // 2, `D[j + n] = -D[j]`. So the sup of a row over a set is
     the sup of its direction or minus the inf, and one pair of LPs per
-    direction decides every row along it.
+    direction decides every row along it. `stop[j]` is the largest
+    threshold that sup is compared with when pieces are decided:
+    `off[k] + FEAS_TOL` over the rows k along `D[j]`, and
+    `-off[k] - FEAS_TOL` over the rows along `-D[j]`. A sup past it
+    decides every row it meets, so its LP may end there.
     """
 
     T: np.ndarray
@@ -88,6 +92,7 @@ class PieceTable(NamedTuple):
     D: np.ndarray
     dir: np.ndarray
     off: np.ndarray
+    stop: np.ndarray
 
     def cut(self, g: int, p: int, region: Polyhedron, J, b) -> Polyhedron:
         """{x in region : J x + b in piece p of group g}, built in one call."""
@@ -189,9 +194,12 @@ class PwlActivation:
             D, j = np.unique(U * sign[:, None] + 0.0, axis=0, return_inverse=True)
             S = max(1, max(map(len, cols)))
             cols = [np.append(cols_g, [self.in_width] * (S - len(cols_g))) for cols_g in cols]
+            dirs, off = j.reshape(-1) + len(D) * (sign < 0), Uc[:, -1].copy()
+            stop = np.full(2 * len(D), -np.inf)
+            np.maximum.at(stop, dirs, off + FEAS_TOL)
+            np.maximum.at(stop, (dirs + len(D)) % (2 * len(D)), -off - FEAS_TOL)
             table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), rows,
-                               np.concatenate([D, -D]), j.reshape(-1) + len(D) * (sign < 0),
-                               Uc[:, -1].copy())
+                               np.concatenate([D, -D]), dirs, off, stop)
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table

@@ -194,9 +194,10 @@ class BoxLP:
                 excess += np.fmax(least - self._beta, 0.0)
         self.feasible = bool(excess <= FEAS_TOL)
 
-    def bounds(self, objectives) -> np.ndarray:
+    def bounds(self, objectives, stop=None) -> np.ndarray:
         """(inf, sup) of o.x over the region for each row o of the (k, dim)
         matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
+        `stop` is `RegionLP.bounds`'s; a closed form answers exactly anyway.
 
         Raises InfeasibleRegionError when the region is empty.
         """

@@ -16,6 +16,11 @@ lock-step, each LP as the 2-D kernel would pivot it alone, and an LP leaves
 the stack when it ends. Stacks are cut to a fixed number of tableau elements;
 a stack of fewer than four tableaux (large tableaux, or the last few LPs)
 runs them one by one in the 2-D kernel, which costs less per pivot there.
+A caller that only asks whether an inf falls below lo or a sup rises above
+hi passes those stops: an LP then ends as soon as the value at its basic
+point is past its stop, and the basic point phase 1 left answers first, so
+an LP it already settles never reaches a kernel. Without stops, each answer
+is bit for bit that of the same LP solved alone (`solve_lp`).
 `polyhedra.region_lp` keeps one `RegionLP` per region with two or more rows
 over several coordinates, so every query of such a region shares its phase 1;
 the LPs of a box, or of a box cut by one half-space, are answered in closed
@@ -66,14 +71,18 @@ def _finite(T):
         raise LpSolverError("simplex tableau overflowed: a non-finite entry", phase="overflow")
 
 
-def _run_simplex(T, basis, budget):
-    """Pivot until optimal or unbounded. Returns (status, pivots_used).
+def _run_simplex(T, basis, budget, stop=-np.inf):
+    """Pivot until optimal or unbounded, or until the value -T[-1, -1] of
+    the current basic point falls below `stop` ("stopped").
+    Returns (status, pivots_used).
 
     Bland's rule: the lowest-index column with a negative reduced cost enters;
     the row of least ratio leaves, ties going to the lowest basic index.
     """
     used = 0
     while True:
+        if -T[-1, -1] < stop:
+            return "stopped", used
         negative = T[-1, :-1] < -PIVOT_TOL
         entering = int(negative.argmax())
         if not negative[entering]:
@@ -97,12 +106,13 @@ def _run_simplex(T, basis, budget):
             )
 
 
-def _run_stack(T, basis, budget):
+def _run_stack(T, basis, budget, stop):
     """`_run_simplex` on a stack of tableaux T (k x rows x columns) with bases
-    (k x rows), in lock-step: each pivot is the one, and does the arithmetic,
-    that the 2-D kernel would do on that tableau alone. An LP leaves the stack
-    when it ends. Returns (values, unbounded): -T[-1, -1] of each LP that
-    ends optimal, and which LPs end unbounded, in stack order.
+    (k x rows) and stops (k), in lock-step: each pivot is the one, and does
+    the arithmetic, that the 2-D kernel would do on that tableau alone. An LP
+    leaves the stack when it ends. Returns (values, unbounded): -T[-1, -1] of
+    each LP that ends optimal or stopped, and which LPs end unbounded, in
+    stack order.
     """
     k, _, n = T.shape
     values = np.empty(k)
@@ -116,15 +126,15 @@ def _run_stack(T, basis, budget):
         entering = negative.argmax(axis=1)
         col = T[at, :-1, entering]
         pos = col > PIVOT_TOL
-        optimal = ~negative[at, entering]
-        go = ~optimal & pos.any(axis=1)
+        ended = ~negative[at, entering] | (-T[:, -1, -1] < stop)
+        go = ~ended & pos.any(axis=1)
         if not go.all():
             _finite(T[~go])
-            values[live[optimal]] = -T[optimal, -1, -1]
-            unbounded[live[~(go | optimal)]] = True
+            values[live[ended]] = -T[ended, -1, -1]
+            unbounded[live[~(go | ended)]] = True
             if not go.any():
                 return values, unbounded
-            T, basis, live = T[go], basis[go], live[go]
+            T, basis, live, stop = T[go], basis[go], live[go], stop[go]
             entering, col, pos = entering[go], col[go], pos[go]
             at = np.arange(live.size)
             work = work[: live.size]
@@ -250,23 +260,32 @@ class RegionLP:
         objs[:, d : 2 * d] = -costs
         return objs
 
-    def _solve(self, obj):
+    def _solve(self, obj, stop=-np.inf):
         """Phase 2 of the full cost row `obj` on a copy of the saved tableau:
         (tableau, basis, status) at its end."""
         T, basis = self._T.copy(), self._basis.copy()
         T[-1] = _set_objectives(T, basis, obj[None])[0]
-        status, _ = _run_simplex(T, basis, self._budget)
+        status, _ = _run_simplex(T, basis, self._budget, stop)
         _finite(T)
         return T, basis, status
 
     @np.errstate(all="ignore")
-    def bounds(self, objectives) -> np.ndarray:
+    def bounds(self, objectives, stop=None) -> np.ndarray:
         """(inf, sup) of o.x over the region for each row o of the (k, dim)
         matrix `objectives`, as a (k, 2) array; +-inf where unbounded.
 
-        The 2k phase-2 LPs run in stacks of up to _STACK tableau elements;
-        a stack of fewer than _MIN_STACK tableaux runs them one by one. Each
-        answer is bit for bit that of `solve_lp` on the same rows for o and -o.
+        `stop`, a pair (lo, hi) of length-k arrays, asks only whether each
+        inf falls below lo[i] and each sup rises above hi[i]: an LP ends as
+        soon as the value at its basic point is past its stop, and answers
+        that value, which a point of the region attains (within the phase-1
+        slack). The basic point phase 1 left answers first, so an LP it
+        already puts past its stop never reaches a kernel. An answer short
+        of its stop is exact.
+
+        The other LPs run in stacks of up to _STACK tableau elements; a stack
+        of fewer than _MIN_STACK tableaux runs them one by one. With
+        `stop=None`, each answer is bit for bit that of `solve_lp` on the
+        same rows for o and -o.
         Raises InfeasibleRegionError on an empty region, LpSolverError on overflow.
         """
         if not self.feasible:
@@ -276,21 +295,28 @@ class RegionLP:
             raise ValueError("objectives must be a matrix with one column per variable")
         k = O.shape[0]
         T, basis = self._T, self._basis
-        objs = self._objectives(np.concatenate([O, -O]))
         values = np.empty(2 * k)
-        unbounded = np.empty(2 * k, dtype=bool)
+        unbounded = np.zeros(2 * k, dtype=bool)
+        # LP i < k minimises o.x and LP k + i minimises -o.x; each ends once
+        # its value falls below its entry of `cut`
+        lo, hi = (np.full(k, -np.inf), np.full(k, np.inf)) if stop is None else stop
+        cut = np.concatenate([lo, np.negative(hi)])
+        at = O @ _basic_point(T, basis, self.dim)
+        values[:] = np.concatenate([at, -at])
+        todo = np.flatnonzero(~(values < cut))
+        objs = self._objectives(np.concatenate([O, -O])[todo])
         step = max(1, _STACK // T.size)
-        for s in range(0, 2 * k, step):
-            chunk = objs[s : s + step]
+        for s in range(0, len(todo), step):
+            chunk, lps = objs[s : s + step], todo[s : s + step]
             if len(chunk) < _MIN_STACK:
-                for i, obj in enumerate(chunk, start=s):
-                    end, _, status = self._solve(obj)
+                for i, obj in zip(lps, chunk):
+                    end, _, status = self._solve(obj, cut[i])
                     values[i], unbounded[i] = -end[-1, -1], status == "unbounded"
                 continue
             stack = np.repeat(T[None], len(chunk), axis=0)
             stack[:, -1] = _set_objectives(T, basis, chunk)
             bases = np.repeat(basis[None], len(chunk), axis=0)
-            values[s : s + step], unbounded[s : s + step] = _run_stack(stack, bases, self._budget)
+            values[lps], unbounded[lps] = _run_stack(stack, bases, self._budget, cut[lps])
         lo = np.where(unbounded[:k], -np.inf, values[:k])
         hi = np.where(unbounded[k:], np.inf, -values[k:])
         return np.stack([lo, hi], axis=1)

@@ -36,7 +36,10 @@ Over any other region phase 1 runs once per region for all of its layers
 and neurons.
 Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
 layer's state over a superset as the record, and re-examines only the groups
-it left open, on the pieces they kept there.
+it left open, on the pieces they kept there. It needs no star ranges, only
+whether each row holds or is violated all over the set, so its LPs stop
+once their value is past every threshold they are compared with
+(`PieceTable.stop`); sups are exact only when star ranges are asked for.
 """
 from __future__ import annotations
 
@@ -126,7 +129,9 @@ class Subproblem:
 def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
     """(pieces, sup): the pieces each open group keeps over the image
     {J x + b : x in region}, and the sup of each bounded `D[j] z` over it.
-    Given `aux`, the star ranges of groups reading several columns go there."""
+    Given `aux`, the star ranges of groups reading several columns go there.
+    Without it, a sup is exact only up to `table.stop[j]`: past it, it may
+    be any value past it that the image attains, which decides the same rows."""
     cand = pieces & open_[:, None]
     n = len(table.D) // 2
     used = table.rows[cand]
@@ -134,7 +139,16 @@ def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
     sup = np.zeros(2 * n)
     if dirs.size:
         D = table.D[dirs]
-        lohi = region_lp(region).bounds(D @ J) + (D @ b)[:, None]
+        Db = D @ b
+        stop = None
+        if aux is None:
+            # an LP may end once its value is past table.stop; each stop is
+            # moved an ulp outward twice, so that a value past it is still
+            # strictly past table.stop once Db is added and rounded
+            up, down = np.inf, -np.inf
+            stop = (np.nextafter(np.nextafter(-table.stop[dirs + n], down) - Db, down),
+                    np.nextafter(np.nextafter(table.stop[dirs], up) - Db, up))
+        lohi = region_lp(region).bounds(D @ J, stop) + Db[:, None]
         sup[dirs], sup[dirs + n] = lohi[:, 1], -lohi[:, 0]
     # a row holds on the image when its sup is within FEAS_TOL of its offset,
     # and is violated all over it when the sup of its negation is below -off
@@ -214,7 +228,9 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
     subsets, and a piece containing a set contains each of its subsets.
     Given a dict as `aux`, the output range (lo, hi) of each star neuron n
     goes to `aux[n]`: in closed form for a group reading one input column,
-    else by LPs over the kept pieces.
+    else by LPs over the kept pieces. Those ranges need exact sups; without
+    `aux`, each direction's LPs stop once past `table.stop`, which decides
+    the same pieces.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)

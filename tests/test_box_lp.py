@@ -2,6 +2,8 @@
 closed form (`polyhedra.BoxLP`); its answers must be those of the simplex on
 the same rows, and the symbolic pass must reach the same decisions and star
 ranges with either."""
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,7 @@ def test_a_large_objective_on_a_free_coordinate_stays_bounded():
 def test_both_lp_engines_answer_the_same_queries(engine):
     # region_lp hands out either, so neither may grow a query the other lacks
     assert {n for n in dir(engine) if not n.startswith("_")} == {"bounds", "dim", "feasible"}
+    assert inspect.signature(engine.bounds) == inspect.signature(simplex.RegionLP.bounds)
 
 
 def test_regions_with_two_general_rows_use_the_simplex():

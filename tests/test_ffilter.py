@@ -6,6 +6,7 @@ keeping two or more pieces always holds a star and is re-analysed.
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -78,3 +79,18 @@ def test_star_only_ffilter_matches_full_reanalysis(seed, family):
     assert np.array_equal(got.b, want.b)
     pair = lc.NormPair(2, 2)
     assert upper_bound(got, net, pair) == upper_bound(want, net, pair)
+
+
+@pytest.mark.parametrize("seed, pair, glb, iterations", [
+    (15, (2, 2), "0x1.16d531fdeb516p+3", 21),  # ReLU family
+    (4, (1, np.inf), "0x1.2cccd420bdb8cp+4", 15),  # MaxMin
+])
+def test_refiltering_keeps_generated_solves_bit_for_bit(seed, pair, glb, iterations):
+    # these solves re-filter children cut two or more times, whose LPs end
+    # early once decided; the bracket and the iteration count must be those
+    # of LPs run to their optima
+    net = random_net(np.random.default_rng(seed), max_in=3, max_hidden=2, max_width=8,
+                     kinds=("relu", "leaky_relu", "maxmin"))
+    res = lc.solve(net, unit_box(net.input_dim), lc.SolverConfig(norm=lc.NormPair(*pair)))
+    assert (res.status, res.glb.hex(), res.gub.hex(), res.iterations) == (
+        "exact", glb, glb, iterations)

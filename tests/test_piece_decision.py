@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import lipcert as lc
 from lipcert import analyze_activation_layer
 from lipcert.polyhedra import (
-    FEAS_TOL, affine_preimage, is_feasible, linear_bounds, stack, support_value)
+    FEAS_TOL, affine_preimage, is_feasible, linear_bounds, region_lp, stack, support_value)
+from lipcert.simplex import RegionLP
 
 
 def _spline3(width):
@@ -113,6 +114,32 @@ def test_decision_matches_per_piece_reference(kind, seed):
     if is_feasible(sub):
         got = analyze_activation_layer(act, sub, J, b, record=state)
         assert np.array_equal(got.pieces, reference_decision(act, sub, J, b, state.pieces, None))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(ACTIVATIONS)), seed=st.integers(0, 2**32 - 1),
+       cuts=st.integers(2, 4))
+def test_refiltering_decides_as_the_exact_path(kind, seed, cuts):
+    # re-filtering (no aux) lets each LP end once its answer is past every
+    # threshold it meets; the exact path (aux={}) runs each to its optimum.
+    # Over a box cut by two or more half-spaces both reach the simplex.
+    act, _, J, b = random_case(kind, seed)
+    rng = np.random.default_rng([seed, 1])
+    d = J.shape[1]
+    box = lc.Polyhedron.from_box(-np.ones(d), np.ones(d))
+    state = analyze_activation_layer(act, box, J, b, aux={})
+    x = rng.uniform(-1.0, 1.0, size=d)
+    a = rng.normal(size=(cuts, d))
+    sub = stack(box, lc.Polyhedron(a, a @ x + rng.uniform(0.0, 0.5, size=cuts)))
+    assert isinstance(region_lp(sub), RegionLP)
+    got = analyze_activation_layer(act, sub, J, b, record=state)
+    want = analyze_activation_layer(act, sub, J, b, record=state, aux={})
+    assert np.array_equal(got.pieces, want.pieces)
+    assert got.stars == want.stars
+    for name in ("fixed_T", "fixed_t"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    for name in ("lower", "upper"):
+        assert getattr(got.lam_mat, name).tobytes() == getattr(want.lam_mat, name).tobytes()
 
 
 ONE_DIRECTION = pytest.mark.parametrize(

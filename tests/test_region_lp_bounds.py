@@ -1,14 +1,15 @@
 """`RegionLP.bounds` solves a matrix of objectives in stacks of tableaux; every
 answer must be the one `solve_lp` gives for that objective alone on the same
-rows, bit for bit."""
+rows, bit for bit. Given stops, an answer may end early, but only past its
+stop and at a value the region attains."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lipcert import InfeasibleRegionError, LpSolverError
 from lipcert import simplex
-from lipcert.simplex import RegionLP, solve_lp
+from lipcert.simplex import FEAS_TOL, RegionLP, solve_lp
 
 
 def _region(kind: str, rng, d: int):
@@ -85,6 +86,40 @@ def test_bounds_match_solve_lp_one_by_one(seed, kind, k, per_stack, min_stack):
     # the same LP answers alike when asked again, in another order and
     # under the default stack sizes
     assert lp.bounds(O[::-1])[::-1].tobytes() == got.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["bounded", "degenerate", "cone", "redundant"]),
+       k=st.integers(1, 12),
+       per_stack=st.sampled_from([1, 3, 24]))
+def test_a_stopped_answer_is_past_its_stop_and_attained(seed, kind, k, per_stack):
+    # regions with two or more general rows: boxes and single cuts never
+    # reach the simplex (polyhedra.region_lp)
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(2, 5))
+    A, b = _region(kind, rng, d)
+    assume(np.count_nonzero(np.count_nonzero(A, axis=1) > 1) >= 2)
+    lp = RegionLP(A, b)
+    assume(lp.feasible)
+    O = _objectives(rng, A, d, k)
+    exact = lp.bounds(O)
+    # stops anywhere around [inf, sup], at its ends, or none
+    ends = np.where(np.isfinite(exact), exact, rng.normal(size=(k, 2)))
+    ends.sort(axis=1)
+    stops = ends[:, :1] + rng.uniform(-0.5, 1.5, size=(k, 2)) * (ends[:, 1:] - ends[:, :1])
+    at_end = rng.random((k, 2)) < 0.2
+    stops[at_end] = exact[at_end]
+    none = rng.random((k, 2)) < 0.2
+    lo, hi = np.where(none[:, 0], -np.inf, stops[:, 0]), np.where(none[:, 1], np.inf, stops[:, 1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simplex, "_STACK", per_stack * lp._T.size)
+        got = lp.bounds(O, (lo, hi))
+    for (glo, ghi), (wlo, whi), lo_i, hi_i in zip(got, exact, lo, hi):
+        tol = FEAS_TOL * max(1.0, abs(glo), abs(ghi))
+        for g, w, past in ((glo, wlo, glo < lo_i), (ghi, whi, ghi > hi_i)):
+            if g.hex() != w.hex():
+                assert past and wlo - tol <= g <= whi + tol, (g, w, (lo_i, hi_i), (wlo, whi))
 
 
 def test_bounds_of_one_and_of_zero_objectives():
