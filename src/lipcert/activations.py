@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import _integer
-from .polyhedra import FEAS_TOL, Polyhedron
+from .polyhedra import Polyhedron
 
 MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
 
@@ -66,33 +66,29 @@ class PieceTable(NamedTuple):
 
     `T[g, p]`, `t[g, p]` hold the piece's map rows and offsets, zero-padded
     to the largest group; `valid[g, p]` marks the pieces that exist. Neuron
-    n's map row is at flat position `order[n]` of a (groups, rows) array.
-    `cols[g]` lists the input columns group g's rows read (padded with the
-    column `in_width`). The layer's region rows share one index space: each
-    distinct row once, normalised to unit length as `Polyhedron` stores it,
-    the k-th being `D[dir[k]] z <= off[k]`. Piece p of group g holds where
+    n is row `row[n]` of group `group[n]`. `cols[g]` lists the input
+    columns group g's rows read (padded with the column `in_width`). The
+    layer's region rows share one index space: each distinct row once,
+    normalised to unit length as `Polyhedron` stores it, the k-th being
+    `D[dir[k]] z <= off[k]`. Piece p of group g holds where
     the rows `rows[g, p]` hold, in order (padded with -1). `D` holds each
     row direction of the table once, with its first non-zero entry
     positive, followed by the same directions negated: for
     n = len(D) // 2, `D[j + n] = -D[j]`. So the sup of a row over a set is
     the sup of its direction or minus the inf, and one pair of LPs per
-    direction decides every row along it. `stop[j]` is the largest
-    threshold that sup is compared with when pieces are decided:
-    `off[k] + FEAS_TOL` over the rows k along `D[j]`, and
-    `-off[k] - FEAS_TOL` over the rows along `-D[j]`. A sup past it
-    decides every row it meets, so its LP may end there.
+    direction decides every row along it.
     """
 
     T: np.ndarray
     t: np.ndarray
     valid: np.ndarray
-    order: np.ndarray
+    group: np.ndarray
+    row: np.ndarray
     cols: np.ndarray
     rows: np.ndarray
     D: np.ndarray
     dir: np.ndarray
     off: np.ndarray
-    stop: np.ndarray
 
     def cut(self, g: int, p: int, region: Polyhedron, J, b) -> Polyhedron:
         """{x in region : J x + b in piece p of group g}, built in one call."""
@@ -160,8 +156,7 @@ class PwlActivation:
     def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
         """The pieces of neuron n's group."""
         self._check_neuron(n)
-        table = self.piece_table()
-        return list(self.branch_groups()[table.order[n] // table.T.shape[2]][1])
+        return list(self.branch_groups()[self.piece_table().group[n]][1])
 
     def piece_table(self) -> PieceTable:
         """`group_pieces()` as a `PieceTable`, built once."""
@@ -171,11 +166,11 @@ class PwlActivation:
             G, P = len(groups), max(len(p) for _, p in groups)
             R = max(len(f) for f, _ in groups)
             T, t = np.zeros((G, P, R, self.in_width)), np.zeros((G, P, R))
-            valid, order = np.zeros((G, P), dtype=bool), np.zeros(self.out_width, dtype=int)
-            count, cols = np.zeros((G, P), dtype=int), []
+            valid, count, cols = np.zeros((G, P), dtype=bool), np.zeros((G, P), dtype=int), []
+            group, row = np.zeros(self.out_width, dtype=int), np.zeros(self.out_width, dtype=int)
             for g, (fixed, pieces) in enumerate(groups):
                 Cs, cs, Ts, ts = zip(*pieces)
-                order[list(fixed)] = g * R + np.arange(len(fixed))
+                group[list(fixed)], row[list(fixed)] = g, np.arange(len(fixed))
                 valid[g, :len(pieces)] = True
                 count[g, :len(pieces)] = [len(C_p) for C_p in Cs]
                 T[g, :len(pieces), :len(fixed)], t[g, :len(pieces), :len(fixed)] = Ts, ts
@@ -194,12 +189,9 @@ class PwlActivation:
             D, j = np.unique(U * sign[:, None] + 0.0, axis=0, return_inverse=True)
             S = max(1, max(map(len, cols)))
             cols = [np.append(cols_g, [self.in_width] * (S - len(cols_g))) for cols_g in cols]
-            dirs, off = j.reshape(-1) + len(D) * (sign < 0), Uc[:, -1].copy()
-            stop = np.full(2 * len(D), -np.inf)
-            np.maximum.at(stop, dirs, off + FEAS_TOL)
-            np.maximum.at(stop, (dirs + len(D)) % (2 * len(D)), -off - FEAS_TOL)
-            table = PieceTable(T, t, valid, order, np.array(cols, dtype=int), rows,
-                               np.concatenate([D, -D]), dirs, off, stop)
+            table = PieceTable(T, t, valid, group, row, np.array(cols, dtype=int), rows,
+                               np.concatenate([D, -D]), j.reshape(-1) + len(D) * (sign < 0),
+                               Uc[:, -1].copy())
             for arr in table:
                 arr.setflags(write=False)
             self._piece_table = table
@@ -217,7 +209,7 @@ class PwlActivation:
                              f"columns, got shape {Z.shape}")
         table = self.piece_table()
         holds, near = table.holding(Z, boundary_tol)
-        g, r = np.divmod(table.order, table.T.shape[2])  # each output neuron's map row
+        g, r = table.group, table.row
         p = holds.argmax(axis=2)[:, g]
         return table.T[g, p, r], table.t[g, p, r], (near.sum(axis=2) > 1).any(axis=1)
 

@@ -167,7 +167,7 @@ def branch(sub: Subproblem, net: Network, glb: float, pair: NormPair):
     state = sub.layers[lt - 1]
     neuron = state.stars[int(np.argmax(star_scores(sub, net)))]
     table = act.piece_table()
-    g = table.order[neuron] // table.T.shape[2]  # the neuron's group
+    g = table.group[neuron]
     children = []
     new_glb = glb
     for p in np.flatnonzero(state.pieces[g]):

@@ -38,8 +38,9 @@ Re-analysis over a sub-region (branch-and-bound's re-filtering) passes the
 layer's state over a superset as the record, and re-examines only the groups
 it left open, on the pieces they kept there. It needs no star ranges, only
 whether each row holds or is violated all over the set, so its LPs stop
-once their value is past every threshold they are compared with
-(`PieceTable.stop`); sups are exact only when star ranges are asked for.
+once their value is past every threshold they are compared with; `_decide`
+alone sets those thresholds and derives the stops from them. Sups are exact
+only when star ranges are asked for, and `_star_ranges` alone computes them.
 """
 from __future__ import annotations
 
@@ -82,14 +83,13 @@ class LayerState:
     def _derived(self):
         # per group over its kept pieces: the entrywise bounds of the rows,
         # the least offsets, and the rows on which the pieces disagree
-        T, t, order = self._table.T, self._table.t, self._table.order
+        T, t, at = self._table.T, self._table.t, (self._table.group, self._table.row)
         m = self.pieces[:, :, None]
         lo = T.min(axis=1, where=m[..., None], initial=np.inf)
         hi = T.max(axis=1, where=m[..., None], initial=-np.inf)
         off = t.min(axis=1, where=m, initial=np.inf)
         star = (lo != hi).any(axis=2) | (off != t.max(axis=1, where=m, initial=-np.inf))
-        lo, hi = lo.reshape(-1, T.shape[3])[order], hi.reshape(-1, T.shape[3])[order]
-        off, star = off.reshape(-1)[order], star.reshape(-1)[order]
+        lo, hi, off, star = lo[at], hi[at], off[at], star[at]
         return (tuple(np.flatnonzero(star).tolist()), owned_interval(lo, hi),
                 np.where(star[:, None], 0.0, lo), np.where(star, 0.0, off))
 
@@ -126,80 +126,82 @@ class Subproblem:
         return tuple(state.stars for state in self.layers)
 
 
-def _decide(table: PieceTable, region, J, b, open_, pieces, aux):
-    """(pieces, sup): the pieces each open group keeps over the image
-    {J x + b : x in region}, and the sup of each bounded `D[j] z` over it.
-    Given `aux`, the star ranges of groups reading several columns go there.
-    Without it, a sup is exact only up to `table.stop[j]`: past it, it may
-    be any value past it that the image attains, which decides the same rows."""
+def _decide(table: PieceTable, region, J, b, open_, pieces, ranges: bool):
+    """(pieces, sup, regions): the pieces each open group keeps over the image
+    {J x + b : x in region}, the sup of each bounded `D[j] z` over it, and
+    the regions cut by each piece tested jointly, by (group, piece).
+
+    A row k holds on the image when the sup of its direction is at most
+    `off[k] + FEAS_TOL`, and is violated all over it when the sup of the
+    opposite direction is below `-off[k] - FEAS_TOL`; these thresholds are
+    set here alone. Unless `ranges` asks for exact sups, each direction's
+    LPs end once past every threshold its rows meet, which decides the same
+    rows. With `ranges`, every kept piece of an undecided group reading
+    several columns is cut, for the LPs of its star ranges."""
     cand = pieces & open_[:, None]
     n = len(table.D) // 2
     used = table.rows[cand]
-    dirs = np.flatnonzero(np.bincount(table.dir[used[used >= 0]] % n, minlength=n))
+    used = used[used >= 0]
+    dirs = np.flatnonzero(np.bincount(table.dir[used] % n, minlength=n))
+    thr = table.off + FEAS_TOL
+    opposite = (table.dir + n) % (2 * n)
     sup = np.zeros(2 * n)
     if dirs.size:
         D = table.D[dirs]
         Db = D @ b
         stop = None
-        if aux is None:
-            # an LP may end once its value is past table.stop; each stop is
+        if not ranges:
+            # the largest threshold each direction's sup meets; each stop is
             # moved an ulp outward twice, so that a value past it is still
-            # strictly past table.stop once Db is added and rounded
+            # strictly past it once Db is added and rounded
+            past = np.full(2 * n, -np.inf)
+            np.maximum.at(past, table.dir[used], thr[used])
+            np.maximum.at(past, opposite[used], -thr[used])
             up, down = np.inf, -np.inf
-            stop = (np.nextafter(np.nextafter(-table.stop[dirs + n], down) - Db, down),
-                    np.nextafter(np.nextafter(table.stop[dirs], up) - Db, up))
+            stop = (np.nextafter(np.nextafter(-past[dirs + n], down) - Db, down),
+                    np.nextafter(np.nextafter(past[dirs], up) - Db, up))
         lohi = region_lp(region).bounds(D @ J, stop) + Db[:, None]
         sup[dirs], sup[dirs + n] = lohi[:, 1], -lohi[:, 0]
-    # a row holds on the image when its sup is within FEAS_TOL of its offset,
-    # and is violated all over it when the sup of its negation is below -off
-    tol = table.off + FEAS_TOL
-    opposite = (table.dir + n) % (2 * n)
-    contain, feas = table.all_rows(np.stack([sup[table.dir] <= tol, sup[opposite] >= -tol])) & cand
+    contain, feas = table.all_rows(np.stack([sup[table.dir] <= thr, sup[opposite] >= -thr])) & cand
     has = contain.any(axis=1)
     keep = np.where(has[:, None], np.arange(cand.shape[1]) == contain.argmax(axis=1)[:, None], feas)
-    undecided = open_ & ~has
+    undecided, regions = open_ & ~has, {}
     if undecided.any():
         # a piece whose rows span two or more directions may miss the image
         # although no single row does: only a joint LP tells
-        k = table.rows
-        dk = table.dir[k] % n
-        joint = ((dk != dk[:, :, :1]) & (k >= 0)).any(axis=2)
-        columns = (table.cols < table.T.shape[3]).sum(axis=1)
-        for g in np.flatnonzero(undecided):
-            # the star ranges of a group reading several columns are LPs over
-            # its kept pieces; their regions live while the group is open
-            lp_ranges = aux is not None and columns[g] > 1
-            regions = {}
-            for p in np.flatnonzero(keep[g] & (joint[g] | lp_ranges)):
-                regions[p] = table.cut(g, p, region, J, b)
-                keep[g, p] = is_feasible(regions[p])
-            if not lp_ranges:
-                continue
-            T, t = table.T[g, keep[g]], table.t[g, keep[g]]
-            rows = np.flatnonzero((T != T[:1]).any(axis=(0, 2)) | (t != t[:1]).any(axis=0))
-            if rows.size == 0:
-                continue
-            # rows x kept pieces x (lo, hi): one batch of LPs per kept piece
-            lohi = np.stack([
-                region_lp(regions[p]).bounds(table.T[g, p, rows] @ J)
-                + (table.T[g, p, rows] @ b + table.t[g, p, rows])[:, None]
-                for p in np.flatnonzero(keep[g])], axis=1)
-            for r, (lo, hi) in zip(rows, lohi.transpose(0, 2, 1)):
-                neuron = int(np.flatnonzero(table.order == g * t.shape[1] + r)[0])
-                aux[neuron] = (float(min(lo)), float(max(hi)))
+        dk = table.dir[table.rows] % n
+        joint = ((dk != dk[:, :, :1]) & (table.rows >= 0)).any(axis=2)
+        several = ranges & ((table.cols < table.T.shape[3]).sum(axis=1) > 1)
+        for g, p in zip(*np.nonzero(keep & (joint | several[:, None]) & undecided[:, None])):
+            regions[g, p] = table.cut(g, p, region, J, b)
+            keep[g, p] = is_feasible(regions[g, p])
     if not keep[open_].any(axis=1).all():
         raise LpSolverError("no activation piece reachable over a non-empty region")
-    return np.where(open_[:, None], keep, pieces), sup
+    return np.where(open_[:, None], keep, pieces), sup, regions
 
 
-def _column_ranges(table: PieceTable, state: LayerState, sup, aux):
-    """The output range of each star neuron of a group reading one column:
-    its range clipped to each kept piece's rows (z <= off along the column's
-    direction, -z <= off along its negation), mapped through the piece's row."""
+def _star_ranges(table: PieceTable, state: LayerState, J, b, sup, regions):
+    """{n: (lo, hi)}, the output range of each star neuron n over the image.
+
+    For a group reading one column, in closed form: the column's range
+    clipped to each kept piece's rows (z <= off along the column's
+    direction, -z <= off along its negation), mapped through the piece's
+    row. For a group reading several columns, by LPs over its kept pieces'
+    regions, which `_decide` cut."""
     n = len(table.D) // 2
     stars = np.array(state.stars, dtype=int)
-    g, r = np.divmod(table.order[stars], table.t.shape[2])
+    g, r = table.group[stars], table.row[stars]
     one = (table.cols[g] < table.T.shape[3]).sum(axis=1) == 1
+    out = {}
+    for h in sorted(set(g[~one].tolist())):
+        # rows x kept pieces x (lo, hi): one batch of LPs per kept piece
+        rows = r[g == h]
+        lohi = np.stack([
+            region_lp(regions[h, p]).bounds(table.T[h, p, rows] @ J)
+            + (table.T[h, p, rows] @ b + table.t[h, p, rows])[:, None]
+            for p in np.flatnonzero(state.pieces[h])], axis=1)
+        for s, (lo, hi) in zip(stars[g == h].tolist(), lohi.transpose(0, 2, 1)):
+            out[s] = (float(min(lo)), float(max(hi)))
     g, r, k = g[one], r[one], table.rows[g[one]]
     dk, off = table.dir[k], table.off[k]
     # the column, read off any of the group's rows, then -column
@@ -213,7 +215,8 @@ def _column_ranges(table: PieceTable, state: LayerState, sup, aux):
     kept = state.pieces[g]
     lo = np.where(kept, np.where(slope > 0, a, c), np.inf).min(axis=1)
     hi = np.where(kept, np.where(slope > 0, c, a), -np.inf).max(axis=1)
-    aux.update(zip(stars[one].tolist(), zip(lo.tolist(), hi.tolist())))
+    out.update(zip(stars[one].tolist(), zip(lo.tolist(), hi.tolist())))
+    return out
 
 
 def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
@@ -227,10 +230,9 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
     than one: a piece infeasible over a set is infeasible over each of its
     subsets, and a piece containing a set contains each of its subsets.
     Given a dict as `aux`, the output range (lo, hi) of each star neuron n
-    goes to `aux[n]`: in closed form for a group reading one input column,
-    else by LPs over the kept pieces. Those ranges need exact sups; without
-    `aux`, each direction's LPs stop once past `table.stop`, which decides
-    the same pieces.
+    goes to `aux[n]` (see `_star_ranges`). Those ranges need exact sups;
+    without `aux`, each direction's LPs stop once past every threshold
+    `_decide` compares them with, which decides the same pieces.
     """
     J = np.asarray(J, dtype=float)
     b = np.asarray(b, dtype=float).reshape(-1)
@@ -241,10 +243,10 @@ def analyze_activation_layer(act: PwlActivation, region: Polyhedron, J, b,
     open_ = pieces.sum(axis=1) > 1
     if not open_.any():
         return record if record is not None else LayerState(act, pieces)
-    pieces, sup = _decide(table, region, J, b, open_, pieces, aux)
+    pieces, sup, regions = _decide(table, region, J, b, open_, pieces, aux is not None)
     state = LayerState(act, pieces)
     if aux is not None and state.stars:
-        _column_ranges(table, state, sup, aux)
+        aux.update(_star_ranges(table, state, J, b, sup, regions))
     return state
 
 
@@ -282,8 +284,7 @@ def symprop_trace(net: Network, omega: Polyhedron):
         n_star = len(state.stars)
         Bhat = np.zeros((act.out_width, dom.dim + n_star))
         Bhat[:, : dom.dim] = state.fixed_T @ B
-        for k, n in enumerate(state.stars):
-            Bhat[n, dom.dim + k] = 1.0
+        Bhat[state.stars, dom.dim + np.arange(n_star)] = 1.0
         bhat = state.fixed_T @ bb + state.fixed_t
         trace.append({"stars": state.stars, "aux_bounds": aux, "Bhat": Bhat, "bhat": bhat})
         if n_star:

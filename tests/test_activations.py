@@ -331,7 +331,9 @@ def test_piece_table_regions_match_branch_groups(act):
     np.testing.assert_array_equal(table.D[n:], -table.D[:n])
     assert all(row[np.flatnonzero(row)[0]] > 0 for row in table.D[:n])
     w = act.in_width
-    for g, (_, pieces) in enumerate(act.branch_groups()):
+    for g, (fixed, pieces) in enumerate(act.branch_groups()):
+        # the neuron map locates each neuron in its group's fixed tuple
+        assert [(table.group[n], table.row[n]) for n in fixed] == [(g, r) for r in range(len(fixed))]
         for p, np_ in enumerate(pieces):
             k = table.rows[g, p][table.rows[g, p] >= 0]
             np.testing.assert_array_equal(table.D[table.dir[k]].reshape(np_.region.C.shape),

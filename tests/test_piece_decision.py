@@ -6,6 +6,8 @@ input region, test it with `is_feasible`, test containment row by row with
 one support LP per normalised row, and stop at the first containing piece.
 Star output ranges come from LPs over the feasible piece regions.
 """
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 import lipcert as lc
 from lipcert import analyze_activation_layer
+from lipcert.activations import PieceTable
 from lipcert.polyhedra import (
     FEAS_TOL, affine_preimage, is_feasible, linear_bounds, region_lp, stack, support_value)
 from lipcert.simplex import RegionLP
@@ -120,6 +123,21 @@ def test_decision_matches_per_piece_reference(kind, seed):
 @given(kind=st.sampled_from(sorted(ACTIVATIONS)), seed=st.integers(0, 2**32 - 1),
        cuts=st.integers(2, 4))
 def test_refiltering_decides_as_the_exact_path(kind, seed, cuts):
+    assert_refiltering_decides_as_the_exact_path(kind, seed, cuts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(sorted(ACTIVATIONS)), seed=st.integers(0, 2**32 - 1),
+       cuts=st.integers(2, 4))
+def test_refiltering_stops_move_with_the_tolerance(kind, seed, cuts):
+    # the rows' thresholds, and the stops derived from them, have one home:
+    # a larger tolerance moves both, so both paths still decide alike
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(importlib.import_module("lipcert.symprop"), "FEAS_TOL", 0.05)
+        assert_refiltering_decides_as_the_exact_path(kind, seed, cuts)
+
+
+def assert_refiltering_decides_as_the_exact_path(kind, seed, cuts):
     # re-filtering (no aux) lets each LP end once its answer is past every
     # threshold it meets; the exact path (aux={}) runs each to its optimum.
     # Over a box cut by two or more half-spaces both reach the simplex.
@@ -177,6 +195,22 @@ def test_one_direction_groups_over_a_cut_box_build_no_simplex_lp(act, region_lps
     _one_direction_case(act, stack(lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0]),
                                    lc.Polyhedron([[1.0, 1.0]], [1.5])))
     assert region_lps == []
+
+
+def test_refiltering_a_relu_layer_cuts_no_piece(monkeypatch, region_lps):
+    # ReLU pieces each have one row: the two LPs per direction over the
+    # region decide them, with no piece region cut
+    cut = PieceTable.cut
+    cuts = []
+    monkeypatch.setattr(PieceTable, "cut", lambda *args: cuts.append(args) or cut(*args))
+    act, J, b = lc.relu(3), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3)
+    box = lc.Polyhedron.from_box([-1.0, -1.0], [1.0, 1.0])
+    record = analyze_activation_layer(act, box, J, b, aux={})
+    assert record.stars == (0, 1, 2) and region_lps == []
+    sub = stack(box, lc.Polyhedron([[1.0, 2.0], [2.0, -1.0]], [1.0, 1.0]))
+    state = analyze_activation_layer(act, sub, J, b, record=record)
+    assert state.stars == (0, 1, 2)
+    assert len(region_lps) == 1 and cuts == []
 
 
 def test_identity_layer_builds_no_lp(region_lps):
