@@ -27,6 +27,9 @@ from .exceptions import _integer
 from .polyhedra import Polyhedron
 
 MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
+# a point within this Euclidean distance of a second piece is flagged as near
+# a boundary, where its Jacobian is no one-sided derivative witness
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ class PwlActivation:
             self._piece_table = table
         return table
 
-    def local_linearization(self, Z: np.ndarray, boundary_tol: float = 1e-9):
+    def local_linearization(self, Z: np.ndarray, boundary_tol: float = BOUNDARY_TOL):
         """(T, t, flags) at the points that are the rows of Z: per point and
         group, the map of the lowest-index piece whose rows hold there, as
         stacks T[i] and t[i]; flags[i] is set when a second piece of some
@@ -439,20 +442,9 @@ class MaxPoolActivation(PwlActivation):
         return 1.0
 
 
-class IdentityActivation(PwlActivation):
-    """Pads affine-affine adjacencies so layers strictly alternate."""
+class IdentityActivation(ComponentwiseActivation):
+    """Pads affine-affine adjacencies so layers strictly alternate: the
+    spline with one piece, slope 1 and intercept 0."""
 
     def __init__(self, width):
-        super().__init__(width, width)
-        self.kind = "identity"
-
-    def group_pieces(self):
-        e = np.eye(self.in_width)
-        return [((n,), [(np.zeros((0, self.in_width)), np.zeros(0), e[[n]], np.zeros(1))])
-                for n in range(self.in_width)]
-
-    def evaluate(self, x) -> np.ndarray:
-        return self._check_input(x).copy()
-
-    def activation_lipschitz(self, pair) -> float:
-        return 1.0
+        super().__init__(width, [], [1.0], [0.0], kind="identity")

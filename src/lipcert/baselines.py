@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .activations import BOUNDARY_TOL
 from .bnb import initial_subproblem, upper_bound
 from .exceptions import InfeasibleRegionError, SamplingError, UnsupportedNormError, _integer
 from .network import Network
 from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, coordinate_bounds, is_feasible
 
-BOUNDARY_TOL = 1e-9
 DEFAULT_SAMPLE_BOX = (-10.0, 10.0)
 SAMPLE_BATCH = 32  # points drawn, and linearised together, at most per batch
 

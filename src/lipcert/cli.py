@@ -101,27 +101,23 @@ def _add_common(parser, with_samples=False, with_solver=False):
                             help="branching budget")
 
 
-def _build_region(args, net) -> Polyhedron:
+def _load(args):
+    """(net, pair, region, config echo) for the model, norm and region flags."""
+    net = load_model(args.model)
+    pair = NormPair.parse(args.norm)
     d = net.input_dim
     if args.global_region:
-        return Polyhedron.universe(d)
-    if args.box is not None:
+        region, echo = Polyhedron.universe(d), {"global": True}
+    elif args.box is not None:
         lo, hi = args.box
-        return Polyhedron.from_box([lo] * d, [hi] * d)
-    region = load_region(args.region)
-    if region.dim != d:
-        raise ModelFormatError(
-            f"region dimension {region.dim} does not match model input {d}"
-        )
-    return region
-
-
-def _region_echo(args):
-    if args.global_region:
-        return {"global": True}
-    if args.box is not None:
-        return {"box": list(args.box)}
-    return {"path": args.region}
+        region, echo = Polyhedron.from_box([lo] * d, [hi] * d), {"box": list(args.box)}
+    else:
+        region, echo = load_region(args.region), {"path": args.region}
+        if region.dim != d:
+            raise ModelFormatError(
+                f"region dimension {region.dim} does not match model input {d}"
+            )
+    return net, pair, region, {"model": args.model, "norm": str(pair), "region": echo}
 
 
 def _print_report(report):
@@ -129,9 +125,7 @@ def _print_report(report):
 
 
 def _cmd_compute(args) -> int:
-    net = load_model(args.model)
-    pair = NormPair.parse(args.norm)
-    region = _build_region(args, net)
+    net, pair, region, config = _load(args)
     cfg = SolverConfig(
         norm=pair,
         theta=args.theta,
@@ -153,9 +147,7 @@ def _cmd_compute(args) -> int:
         "peak_heap_size": result.peak_heap_size,
         "wall_time_s": result.wall_time,
         "config": {
-            "model": args.model,
-            "norm": str(pair),
-            "region": _region_echo(args),
+            **config,
             "theta": args.theta,
             "time_limit": args.time_limit,
             "samples": args.samples,
@@ -168,23 +160,14 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    net = load_model(args.model)
-    pair = NormPair.parse(args.norm)
-    region = _build_region(args, net)
-    report = {"schema": SCHEMA_VERSION, "config": {
-        "model": args.model,
-        "norm": str(pair),
-        "region": _region_echo(args),
-        "samples": args.samples,
-        "seed": args.seed,
-    }}
+    net, pair, region, config = _load(args)
+    report = {"schema": SCHEMA_VERSION,
+              "config": {**config, "samples": args.samples, "seed": args.seed}}
     t = time.perf_counter()
-    if pair.p == pair.q:
-        report["layerwise"] = layerwise_bound(net, pair)
-        report["layerwise_reason"] = None
-    else:
-        report["layerwise"] = None
-        report["layerwise_reason"] = f"layerwise bound requires p == q, got {pair}"
+    try:
+        report["layerwise"], report["layerwise_reason"] = layerwise_bound(net, pair), None
+    except UnsupportedNormError as err:  # the layerwise bound needs p == q
+        report["layerwise"], report["layerwise_reason"] = None, str(err)
     report["layerwise_wall_time_s"] = time.perf_counter() - t
     t = time.perf_counter()
     report["symprop"] = symprop_bound(net, region, pair)
@@ -198,20 +181,14 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    net = load_model(args.model)
-    pair = NormPair.parse(args.norm)
-    region = _build_region(args, net)
+    net, pair, region, config = _load(args)
     t = time.perf_counter()
     value = brute_force_oracle(net, region, pair)
     report = {
         "schema": SCHEMA_VERSION,
         "exact": value,
         "wall_time_s": time.perf_counter() - t,
-        "config": {
-            "model": args.model,
-            "norm": str(pair),
-            "region": _region_echo(args),
-        },
+        "config": config,
     }
     _print_report(report)
     return EXIT_OK

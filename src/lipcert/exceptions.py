@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and a shared integer check."""
+"""Exception types shared across the package, and the number checks that
+model and region files share: `_integer` and `_reals`."""
 
 import numbers
+
+import numpy as np
 
 
 class LipcertError(Exception):
@@ -44,3 +47,25 @@ def _integer(value, name: str, error=ValueError) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _reals(values, name: str, error=ValueError, null=None) -> np.ndarray:
+    """A real number, or nested lists, tuples or arrays of them, as a float
+    array. Booleans, strings and NaN are not numbers here (np.asarray would
+    read "1.5" as 1.5 and True as 1); None reads as `null` where that is
+    given, as for an unbounded box side."""
+    def real(v):
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        if isinstance(v, (list, tuple)):
+            return [real(u) for u in v]
+        if v is None and null is not None:
+            return null
+        if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real) or v != v:
+            raise error(f"{name} must hold real numbers, got {v!r}")
+        return v
+    checked = real(values)
+    try:
+        return np.array(checked, dtype=float)
+    except (ValueError, OverflowError) as err:  # ragged lists, ints past the float range
+        raise error(f"{name} is not numeric: {err}") from err

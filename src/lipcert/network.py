@@ -3,6 +3,11 @@
 A network is a strict alternation of affine and piecewise-linear activation
 layers. Constructors accept any interleaving and pad with identity layers so
 the alternation invariant holds internally.
+
+Model files name each activation by its kind. One table, `_KINDS`, maps each
+kind to its constructor and its ordered fields, and each field has one
+reader in `_FIELDS`; every number in a model file passes `_reals`, so a JSON
+string or boolean is never read as a number. Every error names its layer.
 """
 from __future__ import annotations
 
@@ -12,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import activations as act_mod
-from .activations import IdentityActivation, PwlActivation
-from .exceptions import ModelFormatError
+from .activations import BOUNDARY_TOL, IdentityActivation, PwlActivation
+from .exceptions import ModelFormatError, _integer, _reals
 
 
 @dataclass(frozen=True)
@@ -113,7 +118,7 @@ class Network:
             v = act.evaluate(aff.W @ v + aff.b)
         return v
 
-    def jacobian_at(self, x, boundary_tol: float = 1e-9):
+    def jacobian_at(self, x, boundary_tol: float = BOUNDARY_TOL):
         """(J, boundary_flag): Jacobian of the lowest-index piece selection at x.
 
         The flag reports whether any pre-activation came within Euclidean
@@ -141,89 +146,87 @@ class Network:
         return (J[0], bool(flagged[0])) if single else (J, flagged)
 
 
-_ACTIVATION_FIELDS = {
-    "relu": set(),
-    "leaky_relu": {"slope"},
-    "prelu": {"slopes"},
-    "spline": {"breakpoints", "slopes", "intercepts"},
-    "groupsort": {"group_size"},
-    "fullsort": set(),
-    "maxmin": set(),
-    "maxpool": {"windows"},
-    "identity": set(),
+def _number(value, name: str) -> float:
+    arr = _reals(value, name)
+    if arr.ndim:
+        raise ValueError(f"{name} must be a number")
+    return float(arr)
+
+
+def _windows(windows, name: str):
+    if not isinstance(windows, (list, tuple)) or not all(
+            isinstance(w, (list, tuple)) for w in windows):
+        raise ValueError(f"{name} must be a list of index lists")
+    return windows
+
+
+# one reader per activation field, called as reader(value, field name); the
+# constructors reject infinite values
+_FIELDS = {
+    "slope": _number,
+    "slopes": _reals,
+    "breakpoints": _reals,
+    "intercepts": _reals,
+    "group_size": _integer,
+    "windows": _windows,
+}
+
+# each activation kind: its constructor, called as build(width, *fields)
+_KINDS = {
+    "relu": (act_mod.relu, ()),
+    "leaky_relu": (act_mod.leaky_relu, ("slope",)),
+    "prelu": (act_mod.prelu, ("slopes",)),
+    "spline": (act_mod.spline, ("breakpoints", "slopes", "intercepts")),
+    "groupsort": (act_mod.groupsort, ("group_size",)),
+    "fullsort": (act_mod.fullsort, ()),
+    "maxmin": (act_mod.maxmin, ()),
+    "maxpool": (act_mod.MaxPoolActivation, ("windows",)),
+    "identity": (IdentityActivation, ()),
 }
 
 
-def _finite_array(values, layer: int, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ModelFormatError(f"layer {layer}: {name} is not numeric: {err}") from err
-    if arr.dtype == object or not np.isfinite(arr).all():
-        raise ModelFormatError(f"layer {layer}: non-finite value in {name}")
-    return arr
-
-
-def _load_affine(entry: dict, layer: int) -> AffineLayer:
+def _load_affine(entry: dict) -> AffineLayer:
     extra = set(entry) - {"type", "W", "b"}
     if extra:
-        raise ModelFormatError(f"layer {layer}: unknown fields {sorted(extra)}")
+        raise ValueError(f"unknown fields {sorted(extra)}")
     if "W" not in entry:
-        raise ModelFormatError(f"layer {layer}: affine layer needs W")
-    W = _finite_array(entry["W"], layer, "W")
+        raise ValueError("affine layer needs W")
+    W = _reals(entry["W"], "W")
     if W.ndim != 2:
-        raise ModelFormatError(f"layer {layer}: W must be a matrix (list of equal-length rows)")
-    b = _finite_array(entry.get("b", np.zeros(W.shape[0])), layer, "b")
+        raise ValueError("W must be a matrix (list of equal-length rows)")
+    b = _reals(entry.get("b", np.zeros(W.shape[0])), "b")
     if b.ndim != 1 or b.shape[0] != W.shape[0]:
-        raise ModelFormatError(f"layer {layer}: b must have one entry per row of W")
+        raise ValueError("b must have one entry per row of W")
     return AffineLayer(W, b)
 
 
-def _load_activation(entry: dict, layer: int, width: int) -> PwlActivation:
+def _load_activation(entry: dict, width: int) -> PwlActivation:
     kind = entry["type"]
-    allowed = _ACTIVATION_FIELDS[kind]
-    extra = set(entry) - {"type"} - allowed
+    build, fields = _KINDS[kind]
+    extra = set(entry) - {"type", *fields}
     if extra:
-        raise ModelFormatError(f"layer {layer}: unknown fields {sorted(extra)}")
-    missing = allowed - set(entry)
+        raise ValueError(f"unknown fields {sorted(extra)}")
+    missing = set(fields) - set(entry)
     if missing:
-        raise ModelFormatError(f"layer {layer}: {kind} needs fields {sorted(missing)}")
-    try:
-        if kind == "relu":
-            return act_mod.relu(width)
-        if kind == "leaky_relu":
-            slope = _finite_array(entry["slope"], layer, "slope")
-            if slope.ndim:
-                raise ModelFormatError(f"layer {layer}: slope must be a number")
-            return act_mod.leaky_relu(width, float(slope))
-        if kind == "prelu":
-            return act_mod.prelu(width, _finite_array(entry["slopes"], layer, "slopes"))
-        if kind == "spline":
-            return act_mod.spline(
-                width,
-                _finite_array(entry["breakpoints"], layer, "breakpoints"),
-                _finite_array(entry["slopes"], layer, "slopes"),
-                _finite_array(entry["intercepts"], layer, "intercepts"),
-            )
-        if kind == "groupsort":
-            return act_mod.groupsort(width, entry["group_size"])
-        if kind == "fullsort":
-            return act_mod.fullsort(width)
-        if kind == "maxmin":
-            return act_mod.maxmin(width)
-        if kind == "maxpool":
-            windows = entry["windows"]
-            if not isinstance(windows, (list, tuple)) or not all(
-                    isinstance(w, (list, tuple)) for w in windows):
-                raise ValueError("windows must be a list of index lists")
-            return act_mod.MaxPoolActivation(width, windows)
-        if kind == "identity":
-            return IdentityActivation(width)
-    except ModelFormatError:
-        raise  # already names the layer
-    except ValueError as err:
-        raise ModelFormatError(f"layer {layer}: {err}") from err
-    raise ModelFormatError(f"layer {layer}: unknown activation kind {kind!r}")
+        raise ValueError(f"{kind} needs fields {sorted(missing)}")
+    return build(width, *(_FIELDS[f](entry[f], f) for f in fields))
+
+
+def _load_layer(entry, width: int | None):
+    if not isinstance(entry, dict) or "type" not in entry:
+        raise ValueError("each layer needs a 'type' field")
+    kind = entry["type"]
+    if kind == "affine":
+        aff = _load_affine(entry)
+        if width is not None and aff.in_dim != width:
+            raise ValueError(f"expects input width {width}, W has {aff.in_dim} columns")
+        return aff
+    if not (isinstance(kind, str) and kind in _KINDS):
+        raise ValueError(f"unknown layer type {kind!r}")
+    if width is None:
+        raise ValueError("an activation cannot open the model; widths are "
+                         "inferred from a preceding affine layer")
+    return _load_activation(entry, width)
 
 
 def network_from_json(data) -> Network:
@@ -238,28 +241,12 @@ def network_from_json(data) -> Network:
     layers = []
     width = None  # output width of the most recent layer
     for i, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict) or "type" not in entry:
-            raise ModelFormatError(f"layer {i}: each layer needs a 'type' field")
-        kind = entry["type"]
-        if kind == "affine":
-            aff = _load_affine(entry, i)
-            if width is not None and aff.in_dim != width:
-                raise ModelFormatError(
-                    f"layer {i}: expects input width {width}, W has {aff.in_dim} columns"
-                )
-            layers.append(aff)
-            width = aff.out_dim
-        elif isinstance(kind, str) and kind in _ACTIVATION_FIELDS:
-            if width is None:
-                raise ModelFormatError(
-                    f"layer {i}: an activation cannot open the model; widths are "
-                    "inferred from a preceding affine layer"
-                )
-            act = _load_activation(entry, i, width)
-            layers.append(act)
-            width = act.out_width
-        else:
-            raise ModelFormatError(f"layer {i}: unknown layer type {kind!r}")
+        try:
+            layer = _load_layer(entry, width)
+        except ValueError as err:  # every reader and constructor raises ValueError
+            raise ModelFormatError(f"layer {i}: {err}") from err
+        layers.append(layer)
+        width = layer.out_dim if isinstance(layer, AffineLayer) else layer.out_width
     return Network(layers)
 
 

@@ -5,18 +5,18 @@ every feasibility and bound query of the region asks that object. A region
 whose rows each bound a single coordinate, but for at most one general row
 (a box or the whole space, either cut by one half-space), gets a `BoxLP`,
 which answers from the box's sides and the cut's dual in closed form; every
-other region gets a `simplex.RegionLP`.
+other region gets a `simplex.RegionLP`. Region files read every number
+through `exceptions._reals`, the check model files use too.
 """
 from __future__ import annotations
 
 import json
 import math
-import numbers
 
 import numpy as np
 
 from . import simplex
-from .exceptions import InfeasibleRegionError, ModelFormatError, _integer
+from .exceptions import InfeasibleRegionError, ModelFormatError, _integer, _reals
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
@@ -323,30 +323,24 @@ def region_from_json(data) -> Polyhedron:
         box = data["box"]
         if not isinstance(box, dict) or set(box) != {"lower", "upper"}:
             raise ModelFormatError("'box' must hold exactly 'lower' and 'upper'")
-        lower, upper = _box_side(box, "lower", -math.inf), _box_side(box, "upper", math.inf)
-        if len(lower) != len(upper) or not lower:
+        lower, upper = (_reals(box[side], f"box '{side}'", ModelFormatError, null=unbounded)
+                        for side, unbounded in (("lower", -math.inf), ("upper", math.inf)))
+        if lower.ndim != 1 or upper.ndim != 1:
+            raise ModelFormatError("box sides must be lists of numbers or null")
+        if len(lower) != len(upper) or not len(lower):
             raise ModelFormatError("box bounds disagree on dimension")
-        for lo_i, hi_i in zip(lower, upper):
-            if lo_i > hi_i:
-                raise ModelFormatError("box has a lower bound above its upper bound")
+        if (lower > upper).any():
+            raise ModelFormatError("box has a lower bound above its upper bound")
         return Polyhedron.from_box(lower, upper)
     if keys == {"dim", "C", "c"}:
         dim = _integer(data["dim"], "'dim'", ModelFormatError)
+        C = _reals(data["C"], "'C'", ModelFormatError)
+        c = _reals(data["c"], "'c'", ModelFormatError)
         try:
-            return Polyhedron(data["C"], data["c"], dim=dim)
-        except (TypeError, ValueError) as err:
+            return Polyhedron(C, c, dim=dim)
+        except ValueError as err:
             raise ModelFormatError(f"bad half-space region: {err}") from err
     raise ModelFormatError(f"unrecognized region keys: {sorted(keys)}")
-
-
-def _box_side(box, side: str, unbounded: float) -> list[float]:
-    values = box[side]
-    if not isinstance(values, list) or not all(
-            v is None or (isinstance(v, numbers.Real) and not isinstance(v, bool)
-                          and not math.isnan(v))
-            for v in values):
-        raise ModelFormatError(f"box '{side}' must be a list of numbers or null")
-    return [unbounded if v is None else float(v) for v in values]
 
 
 def load_region(path) -> Polyhedron:

@@ -220,6 +220,7 @@ def test_compute_report_is_strict_json(abs_model, capsys):
     {"type": "leaky_relu", "slope": None},
     {"type": "leaky_relu", "slope": [0.1]},
     {"type": "leaky_relu", "slope": {"k": 1}},
+    {"type": "leaky_relu", "slope": "0.1"},
 ])
 def test_malformed_layer_exits_65_naming_the_layer(tmp_path, layer):
     model = write_json(tmp_path / "bad.json", {"layers": [

@@ -1,7 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from lipcert import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul, intervals
+from lipcert import (
+    IntervalMatrix,
+    NormPair,
+    abs_upper_envelope,
+    exact,
+    hull,
+    induced_norm,
+    interval_matmul,
+    intervals,
+)
 
 
 def sample_member(rng, J: IntervalMatrix) -> np.ndarray:
@@ -161,3 +172,38 @@ def test_hull_errors():
         hull([])
     with pytest.raises(ValueError):
         hull([np.ones((1, 2)), np.ones((2, 2))])
+
+
+# the gub path against exact rational arithmetic
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1(b): interval_matmul's endpoint sums and induced_norm's column and "
+    "row sums round to nearest, not outward"))
+def test_gub_path_products_and_norms_bound_exact_arithmetic():
+    rng = np.random.default_rng(0)
+    misses = []
+    for trial in range(300):
+        m, k, n = (int(v) for v in rng.integers(1, 5, size=3))
+        scale = 10.0 ** rng.integers(-3, 4, size=(2, 2, 1, 1))
+        A, B = (np.sort(rng.normal(size=(2,) + shape) * s, axis=0)
+                for shape, s in (((m, k), scale[0]), ((k, n), scale[1])))
+        P = interval_matmul(IntervalMatrix(*A), IntervalMatrix(*B))
+        for i in range(m):
+            for j in range(n):
+                # each scalar product's exact extremes, summed exactly
+                ends = [[Fraction(a[i, r]) * Fraction(b[r, j]) for a in A for b in B]
+                        for r in range(k)]
+                lo, hi = sum(map(min, ends)), sum(map(max, ends))
+                if Fraction(P.lower[i, j]) > lo or Fraction(P.upper[i, j]) < hi:
+                    misses.append(("interval_matmul", trial, i, j))
+        M = A[1]
+        absM = [[abs(Fraction(v)) for v in row] for row in M]
+        exact_norms = {
+            (1, 1): max(sum(col) for col in zip(*absM)),  # largest column sum
+            (np.inf, np.inf): max(sum(row) for row in absM),  # largest row sum
+            (1, np.inf): max(max(row) for row in absM),  # largest entry
+        }
+        for (p, q), value in exact_norms.items():
+            if Fraction(induced_norm(M, NormPair(p, q))) < value:
+                misses.append((f"induced_norm {p}->{q}", trial))
+    assert not misses, f"{len(misses)} results inside the exact values: {misses[:5]}"

@@ -159,6 +159,17 @@ def test_model_all_activation_kinds():
     assert net.input_dim == 4 and net.output_dim == 1
     y = net.forward([1.0, -2.0, 0.5, 0.25])
     assert np.isfinite(y).all()
+    # each entry builds its own kind with its own fields
+    acts = net.activations
+    assert [a.kind for a in acts] == ["maxmin", "groupsort", "maxpool", "leaky_relu",
+                                      "prelu", "spline", "fullsort", "identity"]
+    assert acts[0].group_size == 2 and acts[1].group_size == 2
+    assert acts[2].windows == [(0, 1), (2, 3)]
+    np.testing.assert_array_equal(acts[3].slopes, [[0.2, 1.0], [0.2, 1.0]])
+    np.testing.assert_array_equal(acts[4].slopes, [[0.1, 1.0], [0.2, 1.0]])
+    np.testing.assert_array_equal(acts[5].breakpoints, [0.0])
+    assert acts[6].group_size == 1
+    np.testing.assert_array_equal(acts[7].slopes, [[1.0]])
 
 
 def test_model_shape_error_names_layer():
@@ -175,6 +186,7 @@ def test_model_rejections():
         {"layers": [{"type": "affine", "W": [[1.0]], "bias": [0.0]}]},  # unknown field
         {"layers": [{"type": "relu"}]},  # activation first
         {"layers": [{"type": "affine", "W": [[np.nan]]}]},
+        {"layers": [{"type": "affine", "W": [[10 ** 400]]}]},  # JSON int past the float range
         {"layers": [{"type": "affine", "W": [[1.0]]}], "name": "x"},  # top-level junk
         {"layers": [{"type": "sigmoid"}]},
         {"layers": []},
@@ -193,6 +205,24 @@ def test_model_rejections():
     for data in cases:
         with pytest.raises(ModelFormatError):
             network_from_json(data)
+    # real fields: no JSON string or boolean is read as a number; each case
+    # would be a valid model with the number 1 in its place
+    one = {"type": "affine", "W": [[1.0]]}
+    for bad in ("1", True):
+        for layer, data in [
+            (1, {"layers": [{"type": "affine", "W": [[bad]]}]}),
+            (1, {"layers": [{"type": "affine", "W": [[1.0]], "b": [bad]}]}),
+            (2, {"layers": [one, {"type": "leaky_relu", "slope": bad}]}),
+            (2, {"layers": [one, {"type": "prelu", "slopes": [bad]}]}),
+            (2, {"layers": [one, {"type": "spline", "breakpoints": [bad],
+                                  "slopes": [0.0, 1.0], "intercepts": [0.0, -1.0]}]}),
+            (2, {"layers": [one, {"type": "spline", "breakpoints": [0.0],
+                                  "slopes": [bad, 1.0], "intercepts": [0.0, 0.0]}]}),
+            (2, {"layers": [one, {"type": "spline", "breakpoints": [0.0],
+                                  "slopes": [0.0, 0.0], "intercepts": [bad, 1.0]}]}),
+        ]:
+            with pytest.raises(ModelFormatError, match=f"layer {layer}"):
+                network_from_json(data)
 
 
 def test_model_integer_fields_accept_any_integer_type():

@@ -182,6 +182,12 @@ def test_region_json_errors(tmp_path):
         {"box": {"lower": [0], "upper": 1}},
         {"box": {"lower": [float("nan")], "upper": [1.0]}},
         {"dim": 1, "C": {}, "c": [1.0]},
+        # no JSON string or boolean is read as a number
+        {"dim": 1, "C": [["1"]], "c": [2.0]},
+        {"dim": 1, "C": [[True]], "c": [2.0]},
+        {"dim": 1, "C": [[1.0]], "c": ["2"]},
+        {"dim": 1, "C": [[1.0]], "c": [True]},
+        {"box": {"lower": [-10 ** 400], "upper": [1]}},  # JSON int past the float range
     ]:
         with pytest.raises(ModelFormatError):
             region_from_json(bad)
