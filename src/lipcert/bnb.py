@@ -111,20 +111,14 @@ def ffilter(sub: Subproblem, net: Network) -> Subproblem:
     if sub.linear:
         return sub
     l, J, b = sub.first_star_layer, sub.J, sub.b
-    L = net.depth
     layers = list(sub.layers)
-    while l <= L:
+    while l <= net.depth:
         state = analyze_activation_layer(net.activations[l - 1], sub.region, J, b,
                                          record=layers[l - 1])
         layers[l - 1] = state
         if state.stars:
             break
-        J = state.fixed_T @ J
-        b = state.fixed_T @ b + state.fixed_t
-        if l < L:
-            aff = net.affine[l]
-            J = aff.W @ J
-            b = aff.W @ b + aff.b
+        J, b = net.after(l, state.fixed_T @ J, state.fixed_T @ b + state.fixed_t)
         l += 1
     return replace(sub, layers=tuple(layers), first_star_layer=l, J=J, b=b)
 
@@ -196,7 +190,6 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
     """Best-first branch-and-bound until gub <= theta * glb or a limit fires.
 
     The heap is keyed on the upper bound, ties broken in push order.
-    Popped entries whose bound no longer beats glb are discarded lazily.
     One node is branched per iteration, in the calling thread. The root and
     every child are settled alike: a linear node lifts glb, a node whose
     bound does not beat glb is fathomed, and any other is pushed.
@@ -241,16 +234,9 @@ def solve(net: Network, omega: Polyhedron, cfg: SolverConfig | None = None,
             status = "iteration_limit"
             break
         _, _, sub = heapq.heappop(heap)
-        if sub.ub <= glb:
-            fathomed_bounds += 1
-            nodes = []
-        else:
-            nodes, _ = branch(sub, net, glb, pair)
-            iterations += 1
+        nodes, _ = branch(sub, net, glb, pair)
+        iterations += 1
     if status is None:
-        if not heap:
-            # every subproblem is accounted for in glb
-            gub = glb
         status = ("exact"
                   if abs(gub - glb) <= EXACT_REL_TOL * abs(gub)
                   else "approx_reached")
@@ -319,13 +305,7 @@ def brute_force_oracle(net: Network, omega: Polyhedron, pair: NormPair) -> float
 
         def choose(gi, region, cell):
             if gi == len(groups):
-                J2 = T @ J
-                b2 = T @ b + t
-                if l < L:
-                    aff = net.affine[l]
-                    J2 = aff.W @ J2
-                    b2 = aff.W @ b2 + aff.b
-                descend(l + 1, J2, b2, region, cell)
+                descend(l + 1, *net.after(l, T @ J, T @ b + t), region, cell)
                 return
             fixed, pieces = groups[gi]
             for np_piece in pieces:

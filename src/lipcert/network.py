@@ -59,28 +59,20 @@ class Network:
     def __init__(self, layers):
         affine: list[AffineLayer] = []
         acts: list[PwlActivation] = []
-        pending: AffineLayer | None = None
         for pos, item in enumerate(layers, start=1):
             if isinstance(item, AffineLayer):
-                if pending is not None:
-                    affine.append(pending)
-                    acts.append(IdentityActivation(pending.out_dim))
-                pending = item
+                if len(affine) > len(acts):
+                    acts.append(IdentityActivation(affine[-1].out_dim))
+                affine.append(item)
             elif isinstance(item, PwlActivation):
-                if pending is None:
-                    if affine:
-                        prev = acts[-1].out_width
-                        pending = AffineLayer(np.eye(prev), np.zeros(prev))
-                    else:
-                        pending = AffineLayer(np.eye(item.in_width), np.zeros(item.in_width))
-                affine.append(pending)
+                if len(affine) == len(acts):
+                    width = acts[-1].out_width if acts else item.in_width
+                    affine.append(AffineLayer(np.eye(width), np.zeros(width)))
                 acts.append(item)
-                pending = None
             else:
                 raise TypeError(f"layer {pos} is neither affine nor a PWL activation")
-        if pending is not None:
-            affine.append(pending)
-            acts.append(IdentityActivation(pending.out_dim))
+        if len(affine) > len(acts):
+            acts.append(IdentityActivation(affine[-1].out_dim))
         if not affine:
             raise ValueError("network has no layers")
         for l, (aff, act) in enumerate(zip(affine, acts), start=1):
@@ -109,6 +101,14 @@ class Network:
     @property
     def output_dim(self) -> int:
         return self.activations[-1].out_width
+
+    def after(self, l: int, J, b):
+        """(W J, W b + c) for the affine layer W x + c that follows activation
+        layer l; (J, b) unchanged after the last layer."""
+        if l == self.depth:
+            return J, b
+        aff = self.affine[l]
+        return aff.W @ J, aff.W @ b + aff.b
 
     def forward(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float).reshape(-1)

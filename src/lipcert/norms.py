@@ -17,7 +17,8 @@ import numpy as np
 
 from .exceptions import UnsupportedNormError
 
-_ORDERS = (1.0, 2.0, float("inf"))
+# each norm order by its spelling in a norm spec
+_ORDERS = {"1": 1.0, "2": 2.0, "inf": float("inf")}
 
 _SPECTRAL_SLACK = 4.0 * np.finfo(float).eps
 
@@ -36,7 +37,7 @@ class NormPair:
     def __post_init__(self):
         p = float(self.p)
         q = float(self.q)
-        if p not in _ORDERS or q not in _ORDERS:
+        if p not in _ORDERS.values() or q not in _ORDERS.values():
             raise UnsupportedNormError(
                 f"norm orders must be 1, 2, or inf, got ({self.p}, {self.q})"
             )
@@ -50,21 +51,10 @@ class NormPair:
     @classmethod
     def parse(cls, text: str) -> "NormPair":
         """Parse 'P' or 'P:Q' with P, Q in {1, 2, inf}."""
-        parts = text.split(":")
-        if len(parts) > 2 or not all(parts):
+        parts = [part.strip() for part in text.split(":")]
+        if len(parts) > 2 or not all(part in _ORDERS for part in parts):
             raise UnsupportedNormError(f"cannot parse norm spec {text!r}")
-        vals = []
-        for tok in parts:
-            tok = tok.strip()
-            if tok == "inf":
-                vals.append(float("inf"))
-            elif tok in ("1", "2"):
-                vals.append(float(tok))
-            else:
-                raise UnsupportedNormError(f"unsupported norm order {tok!r}")
-        if len(vals) == 1:
-            vals.append(vals[0])
-        return cls(vals[0], vals[1])
+        return cls(_ORDERS[parts[0]], _ORDERS[parts[-1]])
 
     def __str__(self):
         if self.p == self.q:

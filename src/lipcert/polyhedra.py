@@ -331,7 +331,10 @@ def region_from_json(data) -> Polyhedron:
             raise ModelFormatError("box bounds disagree on dimension")
         if (lower > upper).any():
             raise ModelFormatError("box has a lower bound above its upper bound")
-        return Polyhedron.from_box(lower, upper)
+        try:
+            return Polyhedron.from_box(lower, upper)
+        except ValueError as err:
+            raise ModelFormatError(f"bad box region: {err}") from err
     if keys == {"dim", "C", "c"}:
         dim = _integer(data["dim"], "'dim'", ModelFormatError)
         C = _reals(data["C"], "'C'", ModelFormatError)

@@ -289,12 +289,9 @@ def symprop_trace(net: Network, omega: Polyhedron):
         trace.append({"stars": state.stars, "aux_bounds": aux, "Bhat": Bhat, "bhat": bhat})
         if n_star:
             dom = _extend_domain(dom, [aux[n] for n in state.stars])
-        if l < net.depth:
-            aff = net.affine[l]
-            B = aff.W @ Bhat
-            bb = aff.W @ bhat + aff.b
+        B, bb = net.after(l, Bhat, bhat)
     if J is None:
-        J, b = Bhat, bhat
+        J, b = B, bb
     return Subproblem(omega, tuple(layers), first, J, b), trace
 
 

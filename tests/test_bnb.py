@@ -490,6 +490,19 @@ def test_glb_never_exceeds_the_exact_constant_under_2_2():
     assert res.glb <= 3.0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP 1(c): over a region with no interior, solve and the oracle take "
+    "Jacobians of full width, not restricted to the region's affine hull"))
+def test_a_region_with_no_interior_keeps_its_constant():
+    # on the segment x0 = 0, |x1| <= 1 the net is leaky_2(x1), so L = 2 by
+    # the package's definition; both gave the norm 2 sqrt(2) of [2, 2]
+    net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.leaky_relu(2, 2.0),
+                   AffineLayer([[1.0, 1.0]], [0.0])])
+    omega = Polyhedron([[1, 0], [-1, 0], [0, 1], [0, -1]], [0, 0, 1, 1])
+    assert solve(net, omega).gub <= 2.0 + 1e-9
+    assert brute_force_oracle(net, omega, PAIR22) <= 2.0 + 1e-9
+
+
 def test_solve_seeding_shrinks_peak_heap():
     rng = np.random.default_rng(30)
     net = random_net(rng, max_hidden=2, max_width=4)

@@ -170,6 +170,22 @@ def test_malformed_region_exit_code(abs_model, tmp_path, capsys):
     assert "'global' must be an integer" in err
 
 
+@pytest.mark.parametrize("data", [
+    {"box": {"lower": [float("inf"), 0.0], "upper": [float("inf"), 1.0]}},
+    {"box": {"lower": [float("-inf"), 0.0], "upper": [float("-inf"), 1.0]}},
+    {"dim": 2, "C": [[1.0, 0.0]], "c": [float("inf")]},
+])
+def test_region_that_builds_no_polyhedron_exits_65(tmp_path, capsys, data):
+    # each passes the file's number checks, then Polyhedron refuses it
+    model = write_json(tmp_path / "m.json", {"layers": [
+        {"type": "affine", "W": [[1.0, -1.0]]}, {"type": "relu"}]})
+    region = write_json(tmp_path / "r.json", data)
+    code, out, err = run_cli(capsys, ["compute", "--model", model, "--region", region])
+    assert code == 65
+    assert out == ""
+    assert "region" in err
+
+
 def test_usage_errors_exit_64(abs_model, capsys):
     # missing region flag
     with pytest.raises(SystemExit) as exc:

@@ -98,6 +98,34 @@ def test_activation_first_gets_identity_affine():
     assert net.forward([-1.0, 3.0]) == pytest.approx(3.0)
 
 
+def test_adjacent_activations_get_identity_affine():
+    net = Network([AffineLayer(np.eye(2), [0.0, 0.0]), lc.relu(2), lc.maxmin(2),
+                   AffineLayer([[1.0, 1.0]], [0.0])])
+    assert net.depth == 3
+    np.testing.assert_array_equal(net.affine[1].W, np.eye(2))
+    np.testing.assert_array_equal(net.affine[1].b, np.zeros(2))
+    assert isinstance(net.activations[2], IdentityActivation)
+
+
+def test_identity_affine_after_a_pool_takes_its_output_width():
+    net = Network([lc.MaxPoolActivation(4, [[0, 1], [2, 3]]), lc.relu(2)])
+    np.testing.assert_array_equal(net.affine[0].W, np.eye(4))
+    np.testing.assert_array_equal(net.affine[1].W, np.eye(2))
+    assert net.forward([1.0, -2.0, -3.0, -1.0]) == pytest.approx([1.0, 0.0])
+
+
+def test_after_steps_through_the_next_affine_layer():
+    net = Network([AffineLayer([[1.0, 2.0], [0.0, -1.0]], [0.5, 0.0]), lc.relu(2),
+                   AffineLayer([[3.0, -1.0]], [2.0])])
+    J, b = np.array([[1.0, 0.0], [2.0, 1.0]]), np.array([1.0, -1.0])
+    W, c = net.affine[1].W, net.affine[1].b
+    J1, b1 = net.after(1, J, b)
+    np.testing.assert_array_equal(J1, W @ J)
+    np.testing.assert_array_equal(b1, W @ b + c)
+    J2, b2 = net.after(2, J, b)
+    assert J2 is J and b2 is b
+
+
 def test_chain_validation_names_layer():
     with pytest.raises(ValueError, match="layer 2"):
         Network([

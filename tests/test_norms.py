@@ -44,6 +44,10 @@ def test_parse():
         NormPair.parse("3")
     with pytest.raises(ValueError):
         NormPair.parse("2:1:1")
+    assert NormPair.parse(" 1 : inf ") == NormPair(1, np.inf)
+    for spec in ("", "2:", ":2", "1.0", "Inf"):
+        with pytest.raises(ValueError):
+            NormPair.parse(spec)
 
 
 def test_unsupported_pairs_rejected():
