@@ -8,12 +8,10 @@ regions. At any interruption point it holds a sound bracket [glb, gub].
 """
 
 from .activations import (
-    AffinePiece,
     ComponentwiseActivation,
     GroupSortActivation,
     IdentityActivation,
     MaxPoolActivation,
-    NeuronPiece,
     PwlActivation,
     fullsort,
     groupsort,
@@ -69,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AffineLayer",
-    "AffinePiece",
     "ComponentwiseActivation",
     "GroupSortActivation",
     "GuardrailExceededError",
@@ -82,7 +79,6 @@ __all__ = [
     "MaxPoolActivation",
     "ModelFormatError",
     "Network",
-    "NeuronPiece",
     "NormPair",
     "Polyhedron",
     "PwlActivation",

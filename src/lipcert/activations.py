@@ -3,22 +3,20 @@
 Every activation states its pieces once, in `group_pieces`: per branch group
 (neurons whose outputs are fixed together), a finite list of closed polyhedra
 `C z <= c` covering the layer's input space, and on each the group's affine
-map `T z + t`. The base class derives every other view from that list and
-keeps it: `branch_groups` (`NeuronPiece` objects for the oracle),
-`neuron_decomposition`, `piece_table` and the point linearisation. The piece
-table numbers every distinct region row of the layer once, normalised to
-unit length, and each piece lists the numbers of its rows; the analysis of
-every activation, the cut of a region by a piece (`PieceTable.cut`) and the
-point linearisation all read those rows through one gather, so a tolerance
-on a row is a Euclidean distance for every activation. The piece list order
-is part of the deterministic contract: ties are always resolved toward the
-lowest piece index.
+map `T z + t`. The base class derives the solver's view from that list and
+keeps it: `piece_table` and the point linearisation; the brute-force oracle
+reads `group_pieces` itself. The piece table numbers every distinct region
+row of the layer once, normalised to unit length, and each piece lists the
+numbers of its rows; the analysis of every activation, the cut of a region
+by a piece (`PieceTable.cut`) and the point linearisation all read those
+rows through one gather, so a tolerance on a row is a Euclidean distance
+for every activation. The piece list order is part of the deterministic
+contract: ties are always resolved toward the lowest piece index.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,38 +28,6 @@ MAX_GROUP_SIZE = 7  # gamma! pieces per group; 8! = 40320 is past the cap
 # a point within this Euclidean distance of a second piece is flagged as near
 # a boundary, where its Jacobian is no one-sided derivative witness
 BOUNDARY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class AffinePiece:
-    """Rows of an activation's affine map restricted to one piece."""
-
-    T: np.ndarray
-    t: np.ndarray
-    rows: tuple[int, ...]  # output neuron indices the rows correspond to
-
-    def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        t = np.asarray(self.t, dtype=float).reshape(-1)
-        if T.ndim != 2 or T.shape[0] != len(self.rows) or t.shape[0] != len(self.rows):
-            raise ValueError("piece rows disagree with the fixed neuron set")
-        T.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "rows", tuple(int(r) for r in self.rows))
-
-
-@dataclass(frozen=True)
-class NeuronPiece:
-    """One piece of a neuron's decomposition: where it holds and what it does."""
-
-    region: Polyhedron  # in the layer's pre-activation space
-    piece: AffinePiece
-
-    @property
-    def fixed_neurons(self) -> tuple[int, ...]:
-        return self.piece.rows
 
 
 class PieceTable(NamedTuple):
@@ -141,26 +107,6 @@ class PwlActivation:
     def activation_lipschitz(self, pair) -> float:
         raise NotImplementedError
 
-    def branch_groups(self):
-        """(fixed_neurons, pieces) per group, the pieces as `NeuronPiece`s.
-
-        Built on the first call and kept: the pieces are immutable, and the
-        oracle asks for them at every node of its enumeration.
-        """
-        groups = self.__dict__.get("_branch_groups")
-        if groups is None:
-            self._branch_groups = groups = tuple(
-                (tuple(fixed), tuple(
-                    NeuronPiece(Polyhedron(C, c, dim=self.in_width), AffinePiece(T, t, fixed))
-                    for C, c, T, t in pieces))
-                for fixed, pieces in self.group_pieces())
-        return groups
-
-    def neuron_decomposition(self, n: int) -> list[NeuronPiece]:
-        """The pieces of neuron n's group."""
-        self._check_neuron(n)
-        return list(self.branch_groups()[self.piece_table().group[n]][1])
-
     def piece_table(self) -> PieceTable:
         """`group_pieces()` as a `PieceTable`, built once."""
         table = self.__dict__.get("_piece_table")
@@ -215,10 +161,6 @@ class PwlActivation:
         g, r = table.group, table.row
         p = holds.argmax(axis=2)[:, g]
         return table.T[g, p, r], table.t[g, p, r], (near.sum(axis=2) > 1).any(axis=1)
-
-    def _check_neuron(self, n: int):
-        if not (0 <= n < self.out_width):
-            raise ValueError(f"neuron index {n} out of range for width {self.out_width}")
 
     def _check_input(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)

@@ -255,14 +255,19 @@ def brute_force_oracle(net: Network, omega: Polyhedron, pair: NormPair) -> float
     combination count.
     """
     total = 1
+    layers = []  # per layer, (fixed, [(region, T, t), ...]) per group
     for act in net.activations:
-        for _, pieces in act.branch_groups():
+        groups = []
+        for fixed, pieces in act.group_pieces():
             total *= len(pieces)
             if total > ORACLE_COMBINATION_CAP:
                 raise GuardrailExceededError(
                     f"piece-combination count exceeds {ORACLE_COMBINATION_CAP}",
                     combination_count=total,
                 )
+            groups.append((list(fixed), [(Polyhedron(C, c, dim=act.in_width), T, t)
+                                         for C, c, T, t in pieces]))
+        layers.append(groups)
     if omega.dim != net.input_dim:
         raise ValueError(f"region dimension {omega.dim} does not match input {net.input_dim}")
     if not is_feasible(omega):
@@ -299,7 +304,7 @@ def brute_force_oracle(net: Network, omega: Polyhedron, pair: NormPair) -> float
                 best = value
             return
         act = net.activations[l - 1]
-        groups = act.branch_groups()
+        groups = layers[l - 1]
         T = np.zeros((act.out_width, act.in_width))
         t = np.zeros(act.out_width)
 
@@ -308,13 +313,12 @@ def brute_force_oracle(net: Network, omega: Polyhedron, pair: NormPair) -> float
                 descend(l + 1, *net.after(l, T @ J, T @ b + t), region, cell)
                 return
             fixed, pieces = groups[gi]
-            for np_piece in pieces:
-                pre = affine_preimage(np_piece.region, J, b)
+            for piece_region, T_p, t_p in pieces:
+                pre = affine_preimage(piece_region, J, b)
                 reg2 = stack(region, pre)
                 if not is_feasible(reg2):
                     continue
-                T[list(fixed)] = np_piece.piece.T
-                t[list(fixed)] = np_piece.piece.t
+                T[fixed], t[fixed] = T_p, t_p
                 choose(gi + 1, reg2, stack(cell, pre))
 
         choose(0, region, cell)

@@ -1,6 +1,8 @@
-"""Exception types shared across the package, and the number checks that
-model and region files share: `_integer` and `_reals`."""
+"""Exception types shared across the package, and what model and region
+files share: the reader `_read_json` and the number checks `_integer` and
+`_reals`."""
 
+import json
 import numbers
 
 import numpy as np
@@ -69,3 +71,13 @@ def _reals(values, name: str, error=ValueError, null=None) -> np.ndarray:
         return np.array(checked, dtype=float)
     except (ValueError, OverflowError) as err:  # ragged lists, ints past the float range
         raise error(f"{name} is not numeric: {err}") from err
+
+
+def _read_json(path, what: str):
+    """The JSON document in a model or region file; a file that is not
+    UTF-8 JSON raises `ModelFormatError` naming `what` the file holds."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+            raise ModelFormatError(f"{what} file is not valid UTF-8 JSON: {err}") from err

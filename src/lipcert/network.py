@@ -11,14 +11,13 @@ string or boolean is never read as a number. Every error names its layer.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import activations as act_mod
 from .activations import BOUNDARY_TOL, IdentityActivation, PwlActivation
-from .exceptions import ModelFormatError, _integer, _reals
+from .exceptions import ModelFormatError, _integer, _read_json, _reals
 
 
 @dataclass(frozen=True)
@@ -33,6 +32,8 @@ class AffineLayer:
         b = np.asarray(self.b, dtype=float).reshape(-1)
         if W.ndim != 2:
             raise ValueError("weight matrix must be two-dimensional")
+        if 0 in W.shape:
+            raise ValueError(f"weight matrix of shape {W.shape} has no entries")
         if b.shape[0] != W.shape[0]:
             raise ValueError(f"bias length {b.shape[0]} does not match {W.shape[0]} rows")
         if not (np.isfinite(W).all() and np.isfinite(b).all()):
@@ -251,9 +252,4 @@ def network_from_json(data) -> Network:
 
 
 def load_model(path) -> Network:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ModelFormatError(f"model file is not valid JSON: {err}") from err
-    return network_from_json(data)
+    return network_from_json(_read_json(path, "model"))

@@ -10,13 +10,12 @@ through `exceptions._reals`, the check model files use too.
 """
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
 from . import simplex
-from .exceptions import InfeasibleRegionError, ModelFormatError, _integer, _reals
+from .exceptions import InfeasibleRegionError, ModelFormatError, _integer, _read_json, _reals
 
 FEAS_TOL = simplex.FEAS_TOL
 _ZERO_ROW_TOL = 1e-12
@@ -347,9 +346,4 @@ def region_from_json(data) -> Polyhedron:
 
 
 def load_region(path) -> Polyhedron:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ModelFormatError(f"region file is not valid JSON: {err}") from err
-    return region_from_json(data)
+    return region_from_json(_read_json(path, "region"))

@@ -99,6 +99,13 @@ def random_net(rng, max_in=3, max_hidden=2, max_width=4, max_out=2,
     return lc.Network(layers)
 
 
+def piece_regions(act) -> list:
+    """`act.group_pieces()` with each piece's region as a `Polyhedron`, built
+    as `brute_force_oracle` builds it: [(fixed, [(region, T, t), ...]), ...]."""
+    return [(fixed, [(lc.Polyhedron(C, c, dim=act.in_width), T, t) for C, c, T, t in pieces])
+            for fixed, pieces in act.group_pieces()]
+
+
 def unit_box(d: int) -> lc.Polyhedron:
     return lc.Polyhedron.from_box([-1.0] * d, [1.0] * d)
 

@@ -176,11 +176,10 @@ def test_criterion_7_groupsort_structure():
     problems = []
     for gamma in (2, 3, 4):
         act = lc.fullsort(gamma)
-        pieces = act.neuron_decomposition(0)
+        [(_, pieces)] = act.group_pieces()  # fullsort: one group, neuron 0's
         if len(pieces) != math.factorial(gamma):
             problems.append(("count", gamma, len(pieces)))
-        for np_ in pieces:
-            T = np_.piece.T
+        for _, _, T, _ in pieces:
             if not (np.all(T.sum(axis=0) == 1.0) and np.all(T.sum(axis=1) == 1.0)):
                 problems.append(("not a permutation", gamma))
     rng = np.random.default_rng(105)
@@ -188,7 +187,7 @@ def test_criterion_7_groupsort_structure():
         for pair in PAIRS:
             if act.activation_lipschitz(pair) != 1.0:
                 problems.append(("lipschitz", act.kind, str(pair)))
-        groups = [g for g, _ in act.branch_groups()]
+        groups = [g for g, _ in act.group_pieces()]
         for _ in range(10000 // 4):
             x = rng.normal(size=act.in_width) * 3.0
             out = act.evaluate(x)

@@ -20,35 +20,42 @@ from lipcert import (
     spline,
 )
 
+from conftest import piece_regions
+
 ALL_PAIRS = [NormPair(1, 1), NormPair(2, 2), NormPair(np.inf, np.inf)]
 
 
 def lowest_piece_at(pieces, x):
-    for np_ in pieces:
-        if np_.region.contains(x):
-            return np_
+    for piece in pieces:
+        if piece[0].contains(x):
+            return piece
     return None
 
 
 def group_ids(act):
-    return [g for g, _ in act.branch_groups()]
+    return [fixed for fixed, _ in act.group_pieces()]
+
+
+def group_of(act, n):
+    """(fixed, [(region, T, t), ...]) of the group that fixes neuron n."""
+    return next(group for group in piece_regions(act) if n in group[0])
 
 
 # componentwise
 
 def test_relu_decomposition_shape():
     act = relu(2)
-    pieces = act.neuron_decomposition(0)
+    fixed, pieces = group_of(act, 0)
     assert len(pieces) == 2
-    inactive, active = pieces
-    assert inactive.fixed_neurons == (0,)
-    np.testing.assert_array_equal(inactive.piece.T, [[0.0, 0.0]])
-    np.testing.assert_array_equal(active.piece.T, [[1.0, 0.0]])
-    assert inactive.region.contains([-1.0, 99.0])
-    assert active.region.contains([1.0, -99.0])
+    (inactive, T_inactive, _), (active, T_active, _) = pieces
+    assert fixed == (0,)
+    np.testing.assert_array_equal(T_inactive, [[0.0, 0.0]])
+    np.testing.assert_array_equal(T_active, [[1.0, 0.0]])
+    assert inactive.contains([-1.0, 99.0])
+    assert active.contains([1.0, -99.0])
     # pieces meet on the breakpoint face
-    assert inactive.region.contains([0.0, 0.0])
-    assert active.region.contains([0.0, 0.0])
+    assert inactive.contains([0.0, 0.0])
+    assert active.contains([0.0, 0.0])
 
 
 def test_relu_piece_intervals():
@@ -61,7 +68,7 @@ def test_spline_three_pieces():
     # hinge at -1 and 1, slopes 0 / 1 / 0, clamps to [-?]: pick continuous intercepts
     act = spline(1, breakpoints=[-1.0, 1.0], slopes=[[0.0, 1.0, 0.0]],
                  intercepts=[[-1.0, 0.0, 1.0]])
-    pieces = act.neuron_decomposition(0)
+    _, pieces = group_of(act, 0)
     assert len(pieces) == 3
     assert act.evaluate([-5.0]) == pytest.approx(-1.0)
     assert act.evaluate([0.3]) == pytest.approx(0.3)
@@ -88,9 +95,9 @@ def test_leaky_and_prelu():
 
 def test_componentwise_lowest_piece_tie_break():
     act = relu(1)
-    piece = lowest_piece_at(act.neuron_decomposition(0), np.array([0.0]))
+    _, T_piece, _ = lowest_piece_at(group_of(act, 0)[1], np.array([0.0]))
     # the inactive piece comes first at the shared breakpoint
-    np.testing.assert_array_equal(piece.piece.T, [[0.0]])
+    np.testing.assert_array_equal(T_piece, [[0.0]])
     T, t, flagged = act.local_linearization(np.array([[0.0], [0.5]]))
     np.testing.assert_array_equal(T, [[[0.0]], [[1.0]]])
     np.testing.assert_array_equal(flagged, [True, False])
@@ -100,14 +107,13 @@ def test_componentwise_lowest_piece_tie_break():
 
 def test_maxmin_pieces():
     act = maxmin(2)
-    pieces = act.neuron_decomposition(0)
+    fixed, pieces = group_of(act, 0)
     assert len(pieces) == 2
-    twin = act.neuron_decomposition(1)
-    assert [p.fixed_neurons for p in twin] == [p.fixed_neurons for p in pieces]
-    for np_ in pieces:
-        assert np_.fixed_neurons == (0, 1)
+    twin_fixed, twin = group_of(act, 1)
+    assert twin_fixed == fixed and len(twin) == len(pieces)
+    assert fixed == (0, 1)
     # ascending sort: identity when x0 <= x1, swap otherwise
-    mats = {tuple(map(tuple, np_.piece.T)) for np_ in pieces}
+    mats = {tuple(map(tuple, T)) for _, T, _ in pieces}
     assert ((1.0, 0.0), (0.0, 1.0)) in mats
     assert ((0.0, 1.0), (1.0, 0.0)) in mats
     np.testing.assert_allclose(act.evaluate([3.0, 1.0]), [1.0, 3.0])
@@ -117,19 +123,18 @@ def test_maxmin_pieces():
 def test_fullsort_factorial_pieces():
     for width in (2, 3, 4):
         act = fullsort(width)
-        pieces = act.neuron_decomposition(0)
+        fixed, pieces = group_of(act, 0)
         assert len(pieces) == math.factorial(width)
-        for np_ in pieces:
-            assert np_.fixed_neurons == tuple(range(width))
+        assert fixed == tuple(range(width))
+        for _, T, _ in pieces:
             # permutation matrix rows
-            T = np_.piece.T
             assert np.all(T.sum(axis=0) == 1.0) and np.all(T.sum(axis=1) == 1.0)
 
 
 def test_groupsort_remainder_group():
     act = groupsort(5, 2)
     assert group_ids(act) == [(0, 1), (2, 3), (4,)]
-    assert len(act.neuron_decomposition(4)) == 1
+    assert len(group_of(act, 4)[1]) == 1
     x = np.array([5.0, -1.0, 2.0, 0.0, 7.0])
     np.testing.assert_allclose(act.evaluate(x), [-1.0, 5.0, 0.0, 2.0, 7.0])
 
@@ -173,12 +178,11 @@ def test_maxpool_basic():
     act = MaxPoolActivation(2, [(0, 1)])
     assert act.in_width == 2 and act.out_width == 1
     assert act.evaluate([0.5, -2.0]) == pytest.approx(0.5)
-    pieces = act.neuron_decomposition(0)
+    fixed, pieces = group_of(act, 0)
     assert len(pieces) == 2
-    chosen = {tuple(np_.piece.T[0]) for np_ in pieces}
+    chosen = {tuple(T[0]) for _, T, _ in pieces}
     assert chosen == {(1.0, 0.0), (0.0, 1.0)}
-    for np_ in pieces:
-        assert np_.fixed_neurons == (0,)
+    assert fixed == (0,)
 
 
 def test_maxpool_windows_validated():
@@ -235,7 +239,7 @@ def test_identity():
     act = IdentityActivation(3)
     x = np.array([1.0, -2.0, 3.0])
     np.testing.assert_array_equal(act.evaluate(x), x)
-    assert len(act.neuron_decomposition(1)) == 1
+    assert len(group_of(act, 1)[1]) == 1
     assert act.activation_lipschitz(NormPair(1, 1)) == 1.0
     T, t, flagged = act.local_linearization(x[None])
     np.testing.assert_array_equal(T[0] @ x + t[0], x)
@@ -261,21 +265,23 @@ ACTS = [
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_pieces_cover_space(act):
     rng = np.random.default_rng(13)
+    groups = piece_regions(act)
     for _ in range(300):
         x = rng.normal(size=act.in_width) * 3.0
-        for _, pieces in act.branch_groups():
+        for _, pieces in groups:
             assert lowest_piece_at(pieces, x) is not None
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_piece_map_matches_evaluate(act):
     rng = np.random.default_rng(14)
+    groups = piece_regions(act)
     for _ in range(300):
         x = rng.normal(size=act.in_width) * 3.0
         y = act.evaluate(x)
-        for key, pieces in act.branch_groups():
-            np_ = lowest_piece_at(pieces, x)
-            out = np_.piece.T @ x + np_.piece.t
+        for key, pieces in groups:
+            _, T, t = lowest_piece_at(pieces, x)
+            out = T @ x + t
             # ties can pick a different but value-equal piece
             np.testing.assert_allclose(out, y[list(key)], atol=1e-9)
 
@@ -300,13 +306,14 @@ def test_local_linearization_lowest_piece_on_ties(act):
     # (-1, 0, 1), so several pieces of a group often hold at once
     tol = 1e-9
     X = np.array(list(itertools.product(range(-2, 3), repeat=act.in_width)), dtype=float)
+    groups = piece_regions(act)
     for x, T, t, flagged in zip(X, *act.local_linearization(X, tol)):
         second = False
-        for fixed, pieces in act.branch_groups():
-            holding = [np_ for np_ in pieces if np_.region.contains(x, tol=0.0)]
-            np.testing.assert_array_equal(T[list(fixed)], holding[0].piece.T)
-            np.testing.assert_array_equal(t[list(fixed)], holding[0].piece.t)
-            second |= sum(np_.region.contains(x, tol=tol) for np_ in pieces) > 1
+        for fixed, pieces in groups:
+            holding = [(T_p, t_p) for region, T_p, t_p in pieces if region.contains(x, tol=0.0)]
+            np.testing.assert_array_equal(T[list(fixed)], holding[0][0])
+            np.testing.assert_array_equal(t[list(fixed)], holding[0][1])
+            second |= sum(region.contains(x, tol=tol) for region, _, _ in pieces) > 1
         assert flagged == second, x
 
 
@@ -323,7 +330,7 @@ def test_fullsort_seven_lowest_piece_is_stable_argsort():
 
 
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
-def test_piece_table_regions_match_branch_groups(act):
+def test_piece_table_regions_match_group_pieces(act):
     # the analysis and the cut read the table's normalised rows as
     # directions and offsets: they carry the same bits as the pieces' regions
     table = act.piece_table()
@@ -331,18 +338,18 @@ def test_piece_table_regions_match_branch_groups(act):
     np.testing.assert_array_equal(table.D[n:], -table.D[:n])
     assert all(row[np.flatnonzero(row)[0]] > 0 for row in table.D[:n])
     w = act.in_width
-    for g, (fixed, pieces) in enumerate(act.branch_groups()):
+    for g, (fixed, pieces) in enumerate(piece_regions(act)):
         # the neuron map locates each neuron in its group's fixed tuple
         assert [(table.group[n], table.row[n]) for n in fixed] == [(g, r) for r in range(len(fixed))]
-        for p, np_ in enumerate(pieces):
+        for p, (piece_region, _, _) in enumerate(pieces):
             k = table.rows[g, p][table.rows[g, p] >= 0]
-            np.testing.assert_array_equal(table.D[table.dir[k]].reshape(np_.region.C.shape),
-                                          np_.region.C)
-            np.testing.assert_array_equal(table.off[k], np_.region.c)
+            np.testing.assert_array_equal(table.D[table.dir[k]].reshape(piece_region.C.shape),
+                                          piece_region.C)
+            np.testing.assert_array_equal(table.off[k], piece_region.c)
             # through the identity map, the cut of the whole space is the
             # piece's region, its rows normalised once more by the constructor
             region = table.cut(g, p, lc.Polyhedron.universe(w), np.eye(w), np.zeros(w))
-            again = lc.Polyhedron(np_.region.C, np_.region.c)
+            again = lc.Polyhedron(piece_region.C, piece_region.c)
             np.testing.assert_array_equal(region.C, again.C)
             np.testing.assert_array_equal(region.c, again.c)
 
@@ -367,15 +374,16 @@ def test_cut_agrees_with_stacked_preimage(act):
     # one-call cut and the stack of the piece region's preimage agree
     rng = np.random.default_rng(41)
     table = act.piece_table()
+    groups = piece_regions(act)
     checked = 0
     for _ in range(6):
         d = int(rng.integers(1, 4))
         R = lc.Polyhedron(rng.normal(size=(d + 3, d)), rng.uniform(0.5, 2.0, size=d + 3))
         J, b = rng.normal(size=(act.in_width, d)), rng.normal(size=act.in_width)
-        for g, (_, pieces) in enumerate(act.branch_groups()):
-            for p, np_ in enumerate(pieces):
+        for g, (_, pieces) in enumerate(groups):
+            for p, (piece_region, _, _) in enumerate(pieces):
                 cut = table.cut(g, p, R, J, b)
-                ref = lc.stack(R, lc.affine_preimage(np_.region, J, b))
+                ref = lc.stack(R, lc.affine_preimage(piece_region, J, b))
                 assert lc.is_feasible(cut) == lc.is_feasible(ref)
                 if not lc.is_feasible(ref):
                     continue
@@ -419,5 +427,5 @@ def test_branch_groups_cover_all_neurons():
 def test_star_pieces_are_parameter_distinct():
     # the relu pieces genuinely differ, so a mixed region yields a star
     act = relu(1)
-    a, b = act.neuron_decomposition(0)
-    assert not np.array_equal(a.piece.T, b.piece.T)
+    (_, T_a, _), (_, T_b, _) = group_of(act, 0)[1]
+    assert not np.array_equal(T_a, T_b)

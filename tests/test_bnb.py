@@ -429,6 +429,49 @@ def test_solve_matches_oracle_all_norms():
             assert res.glb == pytest.approx(want, rel=1e-6, abs=1e-9)
 
 
+def _spline3(width):
+    breaks, slopes = [-0.5, 0.5], [0.2, 1.0, -0.5]
+    intercepts = [0.0]
+    for j, beta in enumerate(breaks):
+        intercepts.append((slopes[j] - slopes[j + 1]) * beta + intercepts[j])
+    return lc.spline(width, breaks, slopes, intercepts)
+
+
+EVERY_KIND = {
+    "relu": lambda: lc.relu(3),
+    "leaky_relu": lambda: lc.leaky_relu(3, 0.1),
+    "prelu_negative": lambda: lc.prelu(3, [-0.5, -1.5, -0.2]),
+    "spline3": lambda: _spline3(3),
+    "maxmin": lambda: lc.maxmin(4),
+    "groupsort3": lambda: lc.groupsort(6, 3),
+    "groupsort4": lambda: lc.groupsort(4, 4),
+    "fullsort3": lambda: lc.fullsort(3),
+    "maxpool2": lambda: lc.MaxPoolActivation(4, [(0, 1), (2, 3)]),
+    "maxpool3": lambda: lc.MaxPoolActivation(6, [(0, 1, 2), (3, 4, 5)]),
+    "identity": lambda: lc.IdentityActivation(3),
+}
+
+
+@pytest.mark.parametrize("kind", EVERY_KIND)
+def test_solve_matches_oracle_on_every_activation_kind(kind):
+    # two layers of the kind between random affine maps, on 2-input nets
+    omega = unit_box(2)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        layers, width = [], 2
+        for _ in range(2):
+            act = EVERY_KIND[kind]()
+            layers += [AffineLayer(rng.normal(size=(act.in_width, width)),
+                                   rng.normal(size=act.in_width)), act]
+            width = act.out_width
+        net = Network(layers + [AffineLayer(rng.normal(size=(2, width)), rng.normal(size=2))])
+        for pair in (PAIR22, NormPair(1, np.inf), NormPair(1, 1)):
+            want = brute_force_oracle(net, omega, pair)
+            res = solve(net, omega, SolverConfig(norm=pair))
+            assert res.status == "exact"
+            assert res.glb == pytest.approx(want, rel=1e-6)
+
+
 def test_twin_neurons_keep_glb_sound_on_cut_regions():
     # neurons 0, 1 and 3 share one hyperplane, so a child can fix 0 active and
     # 1 inactive on the face {w.x + b = 0}: that face is linear with a

@@ -154,6 +154,33 @@ def test_malformed_model_exit_code(tmp_path, capsys):
     assert code == 65
 
 
+def test_non_utf8_model_exits_65(tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps(ABS_MODEL).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, ["compute", "--model", str(p), "--global"])
+    assert code == 65
+    assert out == ""
+    assert "model file" in err
+
+
+def test_non_utf8_region_exits_65(abs_model, tmp_path, capsys):
+    p = tmp_path / "utf16.json"
+    p.write_bytes(b"\xff\xfe" + json.dumps({"global": 1}).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, ["compute", "--model", abs_model, "--region", str(p)])
+    assert code == 65
+    assert out == ""
+    assert "region file" in err
+
+
+@pytest.mark.parametrize("command", ["compute", "bounds", "oracle"])
+def test_weight_matrix_without_entries_exits_65_naming_the_layer(tmp_path, capsys, command):
+    model = write_json(tmp_path / "empty.json", {"layers": [{"type": "affine", "W": [[]]}]})
+    code, out, err = run_cli(capsys, [command, "--model", model, "--global"])
+    assert code == 65
+    assert out == ""
+    assert err.startswith("lipcert: layer 1: ")
+
+
 def test_region_dimension_mismatch_exit_code(abs_model, tmp_path, capsys):
     region = write_json(tmp_path / "r2.json",
                         {"box": {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}})

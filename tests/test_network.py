@@ -144,6 +144,10 @@ def test_affine_layer_validation():
         AffineLayer([[1.0]], [0.0, 0.0])
     with pytest.raises(ValueError):
         AffineLayer([1.0, 2.0], [0.0])
+    with pytest.raises(ValueError):
+        AffineLayer(np.zeros((1, 0)), [0.0])
+    with pytest.raises(ValueError):
+        AffineLayer(np.zeros((0, 2)), [])
     aff = AffineLayer([[1.0, 2.0]], [3.0])
     with pytest.raises(ValueError):
         aff.W[0, 0] = 9.0

@@ -20,6 +20,8 @@ from lipcert.polyhedra import (
     FEAS_TOL, affine_preimage, is_feasible, linear_bounds, region_lp, stack, support_value)
 from lipcert.simplex import RegionLP
 
+from conftest import piece_regions
+
 
 def _spline3(width):
     breaks, slopes = [-0.5, 0.0, 0.5], [0.2, 1.0, -0.5, 2.0]
@@ -46,18 +48,18 @@ ACTIVATIONS = {
 def reference_decision(act, region, J, b, pieces, aux):
     """Per-piece decision over {J x + b : x in region}; fills `aux` if a dict."""
     pieces = pieces.copy()
-    for g, (fixed, group_pieces) in enumerate(act.branch_groups()):
+    for g, (fixed, group_pieces) in enumerate(piece_regions(act)):
         if pieces[g].sum() < 2:
             continue
         feasible, containing = [], None
         for p in np.flatnonzero(pieces[g]):
-            piece = group_pieces[p]
-            piece_region = stack(region, affine_preimage(piece.region, J, b))
+            cell = group_pieces[p][0]
+            piece_region = stack(region, affine_preimage(cell, J, b))
             if not is_feasible(piece_region):
                 continue
             feasible.append((p, piece_region))
             if all(support_value(region, row @ J) + row @ b <= c + FEAS_TOL
-                   for row, c in zip(piece.region.C, piece.region.c)):
+                   for row, c in zip(cell.C, cell.c)):
                 containing = p
                 break
         if not feasible:
@@ -70,7 +72,7 @@ def reference_decision(act, region, J, b, pieces, aux):
         if aux is None:
             continue
         for rpos, n in enumerate(fixed):
-            maps = [(group_pieces[p].piece.T[rpos], group_pieces[p].piece.t[rpos], r)
+            maps = [(group_pieces[p][1][rpos], group_pieces[p][2][rpos], r)
                     for p, r in feasible]
             if all(np.array_equal(T, maps[0][0]) and t == maps[0][1] for T, t, _ in maps):
                 continue

@@ -230,11 +230,11 @@ def test_layer_state_matches_per_group_hull():
                     pieces[g, rng.choice(np.flatnonzero(valid[g]))] = True
             state = lc.LayerState(act, pieces)
             stars = []
-            for (fixed, group_pieces), kept in zip(act.branch_groups(), pieces):
-                chosen = [group_pieces[p].piece for p in np.flatnonzero(kept)]
+            for (fixed, all_pieces), kept in zip(act.group_pieces(), pieces):
+                chosen = [all_pieces[p] for p in np.flatnonzero(kept)]
                 for rpos, n in enumerate(fixed):
-                    rows = np.array([c.T[rpos] for c in chosen])
-                    offs = np.array([c.t[rpos] for c in chosen])
+                    rows = np.array([T[rpos] for _, _, T, _ in chosen])
+                    offs = np.array([t[rpos] for _, _, _, t in chosen])
                     np.testing.assert_array_equal(state.lam_mat.lower[n], rows.min(axis=0))
                     np.testing.assert_array_equal(state.lam_mat.upper[n], rows.max(axis=0))
                     if (rows != rows[0]).any() or (offs != offs[0]).any():
