@@ -36,7 +36,9 @@ class PieceTable(NamedTuple):
     `T[g, p]`, `t[g, p]` hold the piece's map rows and offsets, zero-padded
     to the largest group; `valid[g, p]` marks the pieces that exist. Neuron
     n is row `row[n]` of group `group[n]`. `cols[g]` lists the input
-    columns group g's rows read (padded with the column `in_width`). The
+    columns group g's region rows and map rows read, in increasing order
+    (padded with the column `in_width`), so every slope of group g lies in
+    them. The
     layer's region rows share one index space: each distinct row once,
     normalised to unit length as `Polyhedron` stores it, the k-th being
     `D[dir[k]] z <= off[k]`. Piece p of group g holds where
@@ -123,7 +125,8 @@ class PwlActivation:
                 valid[g, :len(pieces)] = True
                 count[g, :len(pieces)] = [len(C_p) for C_p in Cs]
                 T[g, :len(pieces), :len(fixed)], t[g, :len(pieces), :len(fixed)] = Ts, ts
-                cols.append(np.flatnonzero((np.concatenate(Cs) != 0).any(axis=0)))
+                read = np.concatenate([np.concatenate(Cs), np.concatenate(Ts)])
+                cols.append(np.flatnonzero((read != 0).any(axis=0)))
             # every distinct row once, normalised as Polyhedron normalises it
             C = np.concatenate([C_p for _, p in groups for C_p, *_ in p]).reshape(-1, self.in_width)
             c = np.concatenate([c_p for _, p in groups for _, c_p, *_ in p])

@@ -6,15 +6,21 @@ over the region, from which the star (undecided) neurons, the interval hull of
 the kept rows and the decided affine map are derived. The symbolic pass gives
 the root; `branch` gives the rest. The first layer with a star splits the
 network into a prefix, folded exactly into the node's `J`, `b`, and an
-interval tail; the tail's interval Jacobian gives the upper bound. Branching
-scores the stars of the first star layer by slope width through the exact
-prefix times the tail's abs envelope (`star_scores`), keeps one piece of the
-highest-scoring star's group (ties to the lowest index), pulls the piece's
-constraints back to input space, and re-filters deeper layers. A node without
-stars is `linear` on its region, so its bound is exact and feeds the global
-lower bound; `solve` settles the root and every child in one place. A region
-keeps its LP (`polyhedra.region_lp`), so a child's feasibility test and its
-re-filtering share one phase 1, or one closed form for a child of a box root.
+interval tail; the tail's interval Jacobian gives the upper bound. It is
+formed from the structure of each factor, not by the general product
+`interval_matmul`, which the search does not call: an exact weight matrix
+acts on the bracket by its signed split, and a slope hull only on the
+columns its groups read, so a componentwise layer's hull acts elementwise
+and a GroupSort, MaxMin or MaxPool hull group by group.
+Branching scores the stars of the first star layer by slope width through
+the exact prefix times the tail's abs envelope (`star_scores`), keeps one
+piece of the highest-scoring star's group (ties to the lowest index), pulls
+the piece's constraints back to input space, and re-filters deeper layers.
+A node without stars is `linear` on its region, so its bound is exact and
+feeds the global lower bound; `solve` settles the root and every child in
+one place. A region keeps its LP (`polyhedra.region_lp`), so a child's
+feasibility test and its re-filtering share one phase 1, or one closed form
+for a child of a box root.
 """
 from __future__ import annotations
 
@@ -25,10 +31,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .activations import PieceTable
 from .exceptions import GuardrailExceededError, InfeasibleRegionError, LpSolverError, _integer
-# hull is not called here; it stays importable from this module because
-# perfbench/layertrace.py rebinds it here by name.
-from .intervals import IntervalMatrix, abs_upper_envelope, exact, hull, interval_matmul  # noqa: F401
+from .intervals import IntervalMatrix, abs_upper_envelope, exact, owned_interval
+# hull and interval_matmul are not called here; they stay importable from
+# this module because perfbench/layertrace.py rebinds them here by name.
+from .intervals import hull, interval_matmul  # noqa: F401
 from .network import Network
 from .norms import NormPair, induced_norm
 from .polyhedra import Polyhedron, affine_preimage, is_feasible, stack
@@ -76,20 +84,57 @@ class SolveResult:
     bounds_history: list[tuple[float, float]] = field(default_factory=list)
 
 
+def _hull_times(lam: IntervalMatrix, table: PieceTable, lo, hi):
+    """(lo', hi') bracketing lam·[lo, hi], a slope hull times an interval.
+
+    Row n of lam reads only the columns of its group, `table.cols`, so its
+    four endpoint products are formed over (out_width, group_width, d) and
+    summed over the group; two serve an exact factor (`hi is lo`). The group
+    width is 1 for componentwise layers, 2 for MaxMin, g for GroupSort-g and
+    the window for MaxPool."""
+    cols = table.cols[table.group]
+    pad = cols == lam.shape[1]
+    padded = pad.any()
+    if padded:
+        cols = np.where(pad, 0, cols)  # a padded slot reads row 0 times a zero slope
+    rows = np.arange(len(cols))[:, None]
+    al, au = lam.lower[rows, cols], lam.upper[rows, cols]
+    if padded:
+        al, au = np.where(pad, 0.0, al), np.where(pad, 0.0, au)
+    al, au = al[:, :, None], au[:, :, None]
+    bl = lo[cols]
+    p1, p3 = al * bl, au * bl
+    if hi is lo:
+        return np.minimum(p1, p3).sum(axis=1), np.maximum(p1, p3).sum(axis=1)
+    bu = hi[cols]
+    p2, p4 = al * bu, au * bu
+    return (np.minimum(np.minimum(p1, p2), np.minimum(p3, p4)).sum(axis=1),
+            np.maximum(np.maximum(p1, p2), np.maximum(p3, p4)).sum(axis=1))
+
+
 def interval_jacobian(sub: Subproblem, net: Network) -> IntervalMatrix:
     """Entrywise bracket of the network Jacobian over the subproblem's region.
 
     Exact through the folded prefix J, interval hulls from the first star
-    layer on. Linear subproblems give a degenerate interval.
+    layer on; linear subproblems give a degenerate interval. The bracket is
+    carried as two arrays and every product uses its structure: each slope
+    hull acts by groups (`_hull_times`), and each weight matrix W, exact, by
+    its signed split W⁺·lo + W⁻·hi and W⁺·hi + W⁻·lo, two matmuls per side
+    with W⁺, W⁻ formed once per network. Per entry this is the bracket a
+    chain of `interval_matmul` calls gives, up to the order of summation;
+    `interval_matmul` stays the general product, with no structure assumed.
     """
     if sub.linear:
         return exact(sub.J)
     lt = sub.first_star_layer
-    M = interval_matmul(sub.layers[lt - 1].lam_mat, exact(sub.J))
-    for l in range(lt + 1, net.depth + 1):
-        M = interval_matmul(exact(net.affine[l - 1].W), M)
-        M = interval_matmul(sub.layers[l - 1].lam_mat, M)
-    return M
+    lo = hi = sub.J
+    for l in range(lt, net.depth + 1):
+        if l > lt:
+            Wp, Wn = net.affine[l - 1]._signed
+            lo, hi = Wp @ lo + Wn @ hi, Wp @ hi + Wn @ lo
+        lo, hi = _hull_times(sub.layers[l - 1].lam_mat, net.activations[l - 1].piece_table(),
+                             lo, hi)
+    return owned_interval(lo, hi)
 
 
 def upper_bound(sub: Subproblem, net: Network, pair: NormPair) -> float:

@@ -3,6 +3,13 @@
 Interval matrices carry the per-layer hulls of activation slopes and the
 interval Jacobian accumulated through the undecided part of a network.
 Vectors are stored as n-by-1 matrices so a single code path serves both.
+
+`interval_matmul` is the general product of two interval matrices, with no
+structure assumed. The node bound does not call it: `bnb.interval_jacobian`
+forms its products from their structure (exact weight matrices by a signed
+split, slope hulls by groups), with the same bracket up to the order of
+summation. `interval_matmul` stays the public product, and the reference
+the tests hold the node bound to.
 """
 from __future__ import annotations
 

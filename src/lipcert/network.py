@@ -12,6 +12,7 @@ string or boolean is never read as a number. Every error names its layer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,11 @@ class AffineLayer:
         b.setflags(write=False)
         object.__setattr__(self, "W", W)
         object.__setattr__(self, "b", b)
+
+    @cached_property
+    def _signed(self):
+        # (W⁺, W⁻), for the exact product W·[lo, hi] = [W⁺lo + W⁻hi, W⁺hi + W⁻lo]
+        return np.maximum(self.W, 0.0), np.minimum(self.W, 0.0)
 
     @property
     def in_dim(self) -> int:

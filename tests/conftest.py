@@ -83,6 +83,42 @@ def _make_activation(kind: str, width: int) -> lc.PwlActivation:
     raise ValueError(kind)
 
 
+def _spline3(width):
+    breaks, slopes = [-0.5, 0.5], [0.2, 1.0, -0.5]
+    intercepts = [0.0]
+    for j, beta in enumerate(breaks):
+        intercepts.append((slopes[j] - slopes[j + 1]) * beta + intercepts[j])
+    return lc.spline(width, breaks, slopes, intercepts)
+
+
+# one activation layer of each kind, by name
+EVERY_KIND = {
+    "relu": lambda: lc.relu(3),
+    "leaky_relu": lambda: lc.leaky_relu(3, 0.1),
+    "prelu_negative": lambda: lc.prelu(3, [-0.5, -1.5, -0.2]),
+    "spline3": lambda: _spline3(3),
+    "maxmin": lambda: lc.maxmin(4),
+    "groupsort3": lambda: lc.groupsort(6, 3),
+    "groupsort4": lambda: lc.groupsort(4, 4),
+    "fullsort3": lambda: lc.fullsort(3),
+    "maxpool2": lambda: lc.MaxPoolActivation(4, [(0, 1), (2, 3)]),
+    "maxpool3": lambda: lc.MaxPoolActivation(6, [(0, 1, 2), (3, 4, 5)]),
+    "maxpool_1wide": lambda: lc.MaxPoolActivation(5, [(0,), (1, 2), (3, 4)]),
+    "identity": lambda: lc.IdentityActivation(3),
+}
+
+
+def two_layer_net(kind: str, rng) -> lc.Network:
+    """Two `EVERY_KIND[kind]` layers between random affine maps; 2 inputs, 2 outputs."""
+    layers, width = [], 2
+    for _ in range(2):
+        act = EVERY_KIND[kind]()
+        layers += [lc.AffineLayer(rng.normal(size=(act.in_width, width)),
+                                  rng.normal(size=act.in_width)), act]
+        width = act.out_width
+    return lc.Network(layers + [lc.AffineLayer(rng.normal(size=(2, width)), rng.normal(size=2))])
+
+
 def random_net(rng, max_in=3, max_hidden=2, max_width=4, max_out=2,
                kinds=("relu", "leaky_relu", "maxmin")) -> lc.Network:
     d0 = int(rng.integers(1, max_in + 1))

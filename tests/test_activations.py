@@ -368,6 +368,21 @@ def test_piece_table_numbers_each_row_once(act):
     assert (table.rows[~table.valid] == -1).all()
 
 
+@pytest.mark.parametrize("act", ACTS + [spline(2, [], [2.0], [0.5])], ids=lambda a: repr(a))
+def test_piece_table_cols_hold_every_column_a_group_reads(act):
+    # a group's region rows and map rows read only its columns, listed in
+    # increasing order and padded with in_width; the slope hull's rows are
+    # read through them. A one-piece group (the identity, a spline with no
+    # breakpoints, a 1-wide MaxPool window) has no region rows, and its map
+    # row still reads a column
+    table, w = act.piece_table(), act.in_width
+    for g, (_, pieces) in enumerate(act.group_pieces()):
+        cols = table.cols[g][table.cols[g] < w]
+        assert (table.cols[g][len(cols):] == w).all() and (np.diff(cols) > 0).all()
+        for C, _, T, _ in pieces:
+            assert set(np.flatnonzero((np.vstack([C, T]) != 0).any(axis=0))) == set(cols)
+
+
 @pytest.mark.parametrize("act", ACTS, ids=lambda a: repr(a))
 def test_cut_agrees_with_stacked_preimage(act):
     # a region cut by a piece pulled back through x -> J x + b: the table's

@@ -41,6 +41,7 @@ ACTIVATIONS = {
     "fullsort3": lambda: lc.fullsort(3),
     "maxpool2": lambda: lc.MaxPoolActivation(4, [(0, 1), (2, 3)]),
     "maxpool3": lambda: lc.MaxPoolActivation(6, [(0, 1, 2), (3, 4, 5)]),
+    "maxpool_1wide": lambda: lc.MaxPoolActivation(5, [(0,), (1, 2), (3, 4)]),
     "identity": lambda: lc.IdentityActivation(3),
 }
 
